@@ -36,6 +36,7 @@ from .gvtransform import (
     InsufficientTruncation,
     InvariantTable,
     NonIntegralBPS,
+    UnpeeledResidual,
     gv_from_gw,
     gw_from_gv,
     iter_classes,
@@ -54,6 +55,7 @@ from .qseries import (
 from .sl2 import (
     NonIntegerCoefficient,
     NotSymmetric,
+    RouteDisagreement,
     bi_decompose,
     bps_from_character,
     decompose_spins,

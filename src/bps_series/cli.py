@@ -7,35 +7,23 @@ structured diff), 2 for usage, parse, or precondition errors.
 
 Defaults: q-order 12, lambda-order 12, g_max 6, degree 6 (gv-from-gw derives
 its lambda-order from the input table's genus window instead, the largest it
-can support).  BPS_SERIES_THREADS caps worker threads for the parallelizable
-extractions.
+can support).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import anomaly, goettsche, gvtransform, serialize
+from . import anomaly, goettsche, gvtransform, serialize, sl2
 from .modular import eisenstein
 
 DEFAULT_Q_ORDER = 12
 DEFAULT_LAMBDA_ORDER = 12
 DEFAULT_G_MAX = 6
 DEFAULT_DEGREE = 6
-
-
-def _thread_count():
-    raw = os.environ.get("BPS_SERIES_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"BPS_SERIES_THREADS must be >= 1, got {raw}")
-    return count
 
 
 def _emit(text, path):
@@ -85,7 +73,7 @@ def cmd_goettsche(args):
 
 def cmd_bps_rational_elliptic(args):
     try:
-        table = goettsche.bps_rational_elliptic(args.gmax, threads=_thread_count())
+        table = goettsche.bps_rational_elliptic(args.gmax)
     except goettsche.MismatchAgainstProduct as exc:
         _emit_json(
             {
@@ -327,7 +315,11 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except goettsche.MismatchAgainstProduct as exc:
+    except (
+        goettsche.MismatchAgainstProduct,
+        sl2.RouteDisagreement,
+        gvtransform.UnpeeledResidual,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:

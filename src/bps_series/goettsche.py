@@ -10,6 +10,12 @@ can be checked against each other:
   * nakajima_assembly: the partition-indexed sum of symmetric-power
     characters that the product formulas resum.
 
+The two product formulas (and the one-variable product in
+bps_rational_elliptic) are spec lists handed to the single Euler-product
+kernel qseries.geom_factor_product.  sym_power_series and nakajima_assembly
+expand their factors by the binomial series instead and never call the
+kernel, so the assembly stays an independent check of it.
+
 All characters are dimension-normalized: a class of cohomological degree d on
 an m-fold sits at weight t^(d-m) (so 2H = d - m), which makes every product
 factor independent of the q-power n.  With that normalization the stratum
@@ -138,17 +144,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _product_of_factors(factor_specs, order, nvars):
-    """prod over (monomial_terms, exponent) of prod_n (1 - m q^n)^exponent."""
-    result = QSeries([LaurentPoly.const(1, nvars)], order)
-    for monomial, exponent in factor_specs:
-        if exponent == 0:
-            continue
-        m = LaurentPoly(monomial, nvars)
-        result = result * geom_factor_product(lambda n: -m, exponent, order)
-    return result
-
-
 def goettsche_series(b, g_max):
     """Generating series of single-graded Hilbert scheme characters.
 
@@ -156,19 +151,17 @@ def goettsche_series(b, g_max):
          / ((1 - t^(-2) q^n)^b0 (1 - q^n)^b2 (1 - t^2 q^n)^b4)
     as a q-series with one-variable Laurent coefficients.
     """
-    result = QSeries([LaurentPoly.const(1, 1)], g_max)
-    for power, exponent, sign in (
-        (-2, -b.b0, -1),
-        (-1, b.b1, 1),
-        (0, -b.b2, -1),
-        (1, b.b3, 1),
-        (2, -b.b4, -1),
-    ):
-        if exponent == 0:
-            continue
-        m = LaurentPoly({(power,): sign}, 1)
-        result = result * geom_factor_product(lambda n: m, exponent, g_max)
-    return result
+    return geom_factor_product(
+        [
+            ((-2,), 1, -b.b0),
+            ((-1,), -1, b.b1),
+            ((0,), 1, -b.b2),
+            ((1,), -1, b.b3),
+            ((2,), 1, -b.b4),
+        ],
+        g_max,
+        nvars=1,
+    )
 
 
 def refined_goettsche_res(g_max):
@@ -177,13 +170,13 @@ def refined_goettsche_res(g_max):
     prod_n 1 / ((1 - (tL tR)^(-1) q^n)(1 - tL tR q^n)
                 (1 - tL tR^(-1) q^n)(1 - tL^(-1) tR q^n)(1 - q^n)^8).
     """
-    return _product_of_factors(
+    return geom_factor_product(
         [
-            ({(-1, -1): 1}, -1),
-            ({(1, 1): 1}, -1),
-            ({(1, -1): 1}, -1),
-            ({(-1, 1): 1}, -1),
-            ({(0, 0): 1}, -8),
+            ((-1, -1), 1, -1),
+            ((1, 1), 1, -1),
+            ((1, -1), 1, -1),
+            ((-1, 1), 1, -1),
+            ((0, 0), 1, -8),
         ],
         g_max,
         nvars=2,
@@ -239,34 +232,24 @@ def nakajima_assembly(c, g_max):
     return QSeries(layers, g_max)
 
 
-def bps_rational_elliptic(g_max, threads=1):
+def bps_rational_elliptic(g_max):
     """BPS multiplicities {(g, h): n_h(C + gF)} for the rational elliptic
     surface, extracted from the bigraded product layers and verified against
     the u-expansion of the one-variable product
 
         u^(-1) prod_n 1/((1 - y q^n)^2 (1 - y^(-1) q^n)^2 (1 - q^n)^8).
 
-    The per-layer extractions are independent; threads > 1 runs them in a
-    pool, collected in layer order so results are deterministic either way.
     Raises MismatchAgainstProduct if the two routes disagree anywhere.
     """
     refined = refined_goettsche_res(g_max)
-    product = _product_of_factors(
-        [({(1,): 1}, -2), ({(-1,): 1}, -2), ({(0,): 1}, -8)], g_max, nvars=1
+    product = geom_factor_product(
+        [((1,), 1, -2), ((-1,), 1, -2), ((0,), 1, -8)], g_max, nvars=1
     )
-    layers = range(g_max + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            char_route = list(pool.map(bps_from_character, (refined[g] for g in layers)))
-            u_route = list(pool.map(u_expand, (product[g] for g in layers)))
-    else:
-        char_route = [bps_from_character(refined[g]) for g in layers]
-        u_route = [u_expand(product[g]) for g in layers]
     table = {}
     diffs = []
-    for g, via_char, via_u in zip(layers, char_route, u_route):
+    for g in range(g_max + 1):
+        via_char = bps_from_character(refined[g])
+        via_u = u_expand(product[g])
         if via_char != via_u:
             diffs.append((g, via_char, via_u))
             continue

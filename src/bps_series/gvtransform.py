@@ -40,6 +40,10 @@ class NonIntegralBPS(ValueError):
         self.value = value
 
 
+class UnpeeledResidual(ArithmeticError):
+    """Peeling the BPS numbers of a class left a nonzero GW residual."""
+
+
 class LambdaSeries:
     """Even Laurent series in lambda with exponents -2, 0, 2, ..., <= order.
 
@@ -370,7 +374,8 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
                 raise NonIntegralBPS(beta, h, c)
             bps.set(h, beta, int(c))
             residual = residual - int(c) * sin_power_series(1, 2 * h - 2, lambda_order)
-        assert not residual, f"unpeeled residual at {beta}: {residual!r}"
+        if residual:
+            raise UnpeeledResidual(f"unpeeled residual at {beta}: {residual!r}")
     return bps
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .laurent import LaurentPoly
+
 
 class NonUnitConstantTerm(ArithmeticError):
     """Inversion of a series whose constant term is not a unit."""
@@ -98,10 +100,6 @@ class QSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return QSeries(self.coeffs[: order + 1], order, self.var)
-
-    def map_coeffs(self, f):
-        """Apply f to every coefficient (e.g. a variable specialization)."""
-        return QSeries([f(c) for c in self.coeffs], self.order, self.var)
 
     def is_same_ring(self, other):
         return isinstance(other, QSeries) and other.var == self.var
@@ -240,50 +238,58 @@ def eta_product(exponent, order):
 
     exponent = -1 gives the partition-number generating function.
     """
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for n in range(1, order + 1):
-        # multiply in (1 - q^n)^e expanded by the binomial series
-        factor = {}
-        j = 0
-        while j * n <= order:
-            factor[j * n] = binomial_coeff(exponent, j) * (-1) ** j
-            j += 1
-        new = [0] * (order + 1)
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for m, f in factor.items():
-                if i + m > order:
-                    break
-                new[i + m] += c * f
-        coeffs = new
-    return QSeries([Fraction(c) for c in coeffs], order)
+    return geom_factor_product([((), 1, exponent)], order, 0)
 
 
-def geom_factor_product(coeff_at, exponent, order):
-    """prod_{n=1}^{order} (1 + coeff_at(n) * q^n)^exponent, truncated at order.
+def geom_factor_product(specs, order, nvars):
+    """prod_{n=1}^{order} prod_{(exps, c, e) in specs} (1 - c * x^exps * q^n)^e.
 
-    coeff_at(n) may return any coefficient-ring element (typically a
-    LaurentPoly); the factor's q^0 part is 1 by construction.  Each factor is
-    expanded by the generalized binomial series, which is exact for integer
-    exponents of either sign.
+    Each spec is (exps, c, e): an exponent tuple of length nvars, an integer
+    coefficient c and an integer exponent e of either sign, so the factor's
+    monomial is m = c * x^exps.  The result is a QSeries truncated at order
+    whose coefficients are LaurentPoly in nvars variables, or Fraction when
+    nvars == 0 (every exps is then ()).
+
+    The coefficients P_N are dicts of ints, computed by the log-derivative
+    recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+        N * P_N = sum_{K=1}^{N} b_K * P_{N-K},
+        b_K = -sum_{(exps, c, e)} e * sum_{n | K} n * m^(K/n),
+
+    where q d/dq log P = sum_K b_K q^K.  P has integer coefficients, so the
+    division by N is exact.  Each exponent tuple is packed into the int
+    sum_i exps[i] * base^i: all exponents stay within span = order * max|exps|
+    of 0, so with base = 2 * span + 1 monomial products are int additions.
     """
-    result = None
-    for n in range(1, order + 1):
-        c = coeff_at(n)
-        terms = [c * 0 + 1]
-        power = c * 0 + 1
-        j = 1
-        while j * n <= order:
-            power = power * c
-            terms.append(binomial_coeff(exponent, j) * power)
-            j += 1
-        factor_coeffs = [c * 0] * (order + 1)
-        for j, t in enumerate(terms):
-            factor_coeffs[j * n] = t
-        factor = QSeries(factor_coeffs, order)
-        result = factor if result is None else result * factor
-    if result is None:
-        return QSeries([Fraction(1)], order)
-    return result
+    if any(len(exps) != nvars for exps, _, _ in specs):
+        raise ValueError(f"every exponent tuple must have {nvars} entries")
+    span = order * max((abs(a) for exps, _, _ in specs for a in exps), default=0)
+    base = 2 * span + 1
+    b = [{} for _ in range(order + 1)]
+    for exps, c, e in specs:
+        key = sum(a * base**i for i, a in enumerate(exps))
+        for n in range(1, order + 1):
+            for j in range(1, order // n + 1):
+                b[n * j][j * key] = b[n * j].get(j * key, 0) - e * n * c**j
+    p = [{0: 1}]
+    for big_n in range(1, order + 1):
+        acc = {}
+        get = acc.get
+        for k in range(1, big_n + 1):
+            prev = p[big_n - k].items()
+            for kb, cb in b[k].items():
+                for kp, cp in prev:
+                    acc[kb + kp] = get(kb + kp, 0) + cb * cp
+        p.append({key: v // big_n for key, v in acc.items() if v})
+    if nvars == 0:
+        return QSeries([Fraction(layer.get(0, 0)) for layer in p], order)
+
+    def unpack(key):
+        # adding span to every digit puts them all in [0, base)
+        key += sum(span * base**i for i in range(nvars))
+        return tuple(key // base**i % base - span for i in range(nvars))
+
+    return QSeries(
+        [LaurentPoly({unpack(k): v for k, v in layer.items()}, nvars) for layer in p],
+        order,
+    )

@@ -25,6 +25,10 @@ class NonIntegerCoefficient(ValueError):
     """Multiplicities must be integers; got a non-integer coefficient."""
 
 
+class RouteDisagreement(ArithmeticError):
+    """I-basis peeling and the u-expansion give different BPS numbers."""
+
+
 def _check_decomposable(p, what="polynomial"):
     if not p.has_integer_coeffs():
         raise NonIntegerCoefficient(f"{what} has non-integer coefficients: {p!r}")
@@ -153,9 +157,10 @@ def bps_from_character(p):
 
     via_u = u_expand(p.subs_one(1))
 
-    assert via_layers == via_u, (
-        f"I-basis peeling gave {via_layers} but u-expansion gave {via_u}"
-    )
+    if via_layers != via_u:
+        raise RouteDisagreement(
+            f"I-basis peeling gave {via_layers} but u-expansion gave {via_u}"
+        )
     return via_layers
 
 

@@ -70,15 +70,6 @@ def test_bps_rational_elliptic_deterministic(tmp_path):
     assert first == second
 
 
-def test_thread_env_is_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("BPS_SERIES_THREADS", "2")
-    code, _ = run(tmp_path, "bps-rational-elliptic", "--gmax", "2")
-    assert code == 0
-    monkeypatch.setenv("BPS_SERIES_THREADS", "0")
-    code, _ = run(tmp_path, "bps-rational-elliptic", "--gmax", "2")
-    assert code == 2
-
-
 def test_gw_from_gv_and_back(tmp_path):
     bps = InvariantTable("bps", 1, (1,), 3, 4, {(0, (1,)): 1, (1, (2,)): 2})
     path = write_table(tmp_path, "bps.json", bps)

@@ -115,9 +115,35 @@ def test_eta_product_euler_pentagonal():
         assert series[n] == expect.get(n, 0)
 
 
-def test_geom_factor_product_matches_eta():
-    minus_one = geom_factor_product(lambda n: Fraction(-1), 1, 12)
-    assert minus_one == eta_product(1, 12)
+factor_specs = st.lists(
+    st.tuples(
+        st.tuples(st.integers(min_value=-2, max_value=2)),
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=3,
+)
+
+
+@given(factor_specs)
+@settings(max_examples=30, deadline=None)
+def test_geom_factor_product_matches_factor_by_factor_product(specs):
+    order = 5
+    one = LaurentPoly.const(1, nvars=1)
+    expect = QSeries([one], order)
+    for exps, c, e in specs:
+        for n in range(1, order + 1):
+            coeffs = [one] + [LaurentPoly(nvars=1)] * order
+            coeffs[n] = LaurentPoly({exps: -c}, nvars=1)
+            expect = expect * QSeries(coeffs, order) ** e
+    assert geom_factor_product(specs, order, 1) == expect
+
+
+def test_geom_factor_product_scalar_and_arity():
+    assert geom_factor_product([], 3, 0) == QSeries([Fraction(1)], 3)
+    assert geom_factor_product([((), 1, -1)], 0, 0) == QSeries([Fraction(1)], 0)
+    with pytest.raises(ValueError):
+        geom_factor_product([((1,), 1, 1)], 3, 2)
 
 
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=6))
