@@ -18,9 +18,10 @@ assuming it.  All remaining equations must then hold literally and exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .modular import eisenstein, zeta_even_ratio
-from .qseries import QSeries, eta_product
+from .qseries import QSeries, eta_product, euler_int_layers
 
 
 class WeightMismatch(ValueError):
@@ -442,6 +443,30 @@ def genus_series_n1(g_max, q_order):
     return [z0 * factor[2 * g] for g in range(g_max + 1)]
 
 
+def triple_product_rhs(lambda_order, q_order):
+    """The product side of triple_product_check, built in t = e^(i lam) as
+    described there: a q-series (order q_order) of lam-series (order
+    lambda_order)."""
+    evens = range(0, lambda_order + 1, 2)
+    # (2 - 2 cos lam)/lam^2 = sum_j 2 (-1)^j lam^(2j) / (2j+2)! = 1 - lam^2/12 + ...
+    pref_denom = [Fraction(0)] * (lambda_order + 1)
+    for e in evens:
+        pref_denom[e] = Fraction(2 * (-1) ** (e // 2), factorial(e + 2))
+    prefactor = QSeries(pref_denom, var="lam").inv()
+
+    layers = euler_int_layers(
+        [((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1
+    )
+    rhs_coeffs = []
+    for layer in layers:
+        at_t = [Fraction(0)] * (lambda_order + 1)
+        for e in evens:
+            moment = sum(c * k**e for (k,), c in layer.items())
+            at_t[e] = Fraction((-1) ** (e // 2) * moment, factorial(e))
+        rhs_coeffs.append(QSeries(at_t, var="lam") * prefactor)
+    return QSeries(rhs_coeffs, var="q")
+
+
 def triple_product_check(lambda_order, q_order):
     """Verify the resummation exponential against its infinite-product form:
 
@@ -450,29 +475,29 @@ def triple_product_check(lambda_order, q_order):
 
     as an identity in Q[[lam^2, q]], with the prefactor expanded as
     (2 sin(lam/2))^(-2).  Returns {"ok", "first_mismatch", ...}.
+
+    The right side (triple_product_rhs) is built over Z in t = e^(i lam):
+    there 1 - 2 cos(lam) q^n + q^(2n) = (1 - t q^n)(1 - t^-1 q^n), so
+
+        P(t, q) = prod_n (1-q^n)^4 / ((1 - t q^n)(1 - t^-1 q^n))^2
+
+    is one call of the integer Euler kernel.  P is symmetric under
+    t <-> t^-1, so with c_{m,k} its q^m t^k coefficient, the q^m lam^(2j)
+    coefficient of P at t = e^(i lam) is the integer moment
+
+        (-1)^j / (2j)! * sum_k c_{m,k} k^(2j),
+
+    odd powers of lam vanish, and each q^m layer is then multiplied by the
+    prefactor.  The two sides stay independent: the left side is built from
+    eisenstein and zeta_even_ratio, which the right side never calls, and
+    the right side from the Euler kernel, which the left side never calls,
+    so a fault in either shows up as a mismatch.
     """
     if lambda_order < 2 or q_order < 2:
         raise ValueError("orders must be >= 2")
     k_max = lambda_order // 2
 
     lam_zero = QSeries.zero(lambda_order, var="lam")
-    lam_one = QSeries.one(lambda_order, var="lam")
-
-    # cos(lam) and the normalized prefactor lam^2/(2 - 2 cos lam)
-    fact = 1
-    cos_coeffs = []
-    for m in range(lambda_order + 3):
-        if m % 2 == 0:
-            cos_coeffs.append(Fraction((-1) ** (m // 2), fact))
-        else:
-            cos_coeffs.append(Fraction(0))
-        fact *= m + 1
-    cos_lam = QSeries(cos_coeffs[: lambda_order + 1], var="lam")
-    # (2 - 2 cos lam)/lam^2 = 1 - lam^2/12 + ...
-    pref_denom = QSeries(
-        [-2 * cos_coeffs[m + 2] for m in range(lambda_order + 1)], var="lam"
-    )
-    prefactor = pref_denom.inv()
 
     # left side: exp of the q^0 part times exp of the rest (q-major)
     x0 = lam_zero
@@ -490,16 +515,7 @@ def triple_product_check(lambda_order, q_order):
     # every q-coefficient instead of transposing the nesting
     lhs = QSeries(rest_coeffs, var="q").exp() * x0.exp()
 
-    # right side: prefactor * prod_n (1-q^n)^4 / (1 - 2 cos(lam) q^n + q^(2n))^2
-    rhs = eta_product(4, q_order) * QSeries([lam_one], q_order, var="q")
-    for n in range(1, q_order + 1):
-        f_coeffs = [lam_zero for _ in range(q_order + 1)]
-        f_coeffs[0] = lam_one
-        f_coeffs[n] = f_coeffs[n] + (-2) * cos_lam
-        if 2 * n <= q_order:
-            f_coeffs[2 * n] = f_coeffs[2 * n] + lam_one
-        rhs = rhs * QSeries(f_coeffs, var="q").inv() ** 2
-    rhs = rhs * prefactor
+    rhs = triple_product_rhs(lambda_order, q_order)
 
     first_mismatch = None
     for m in range(q_order + 1):

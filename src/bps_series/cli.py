@@ -231,6 +231,25 @@ def cmd_triple_product_check(args):
     return 0 if report["ok"] else 1
 
 
+def _check_failure_to_json(exc):
+    """Exit-1 payload of an internal cross-check that failed mid-command."""
+    if isinstance(exc, sl2.RouteDisagreement):
+        return {
+            "ok": False,
+            "error": "I-basis peeling and u-expansion disagree",
+            "via_character": {str(h): n for h, n in sorted(exc.via_character.items())},
+            "via_u": {str(h): n for h, n in sorted(exc.via_u.items())},
+        }
+    return {
+        "ok": False,
+        "error": "peeling left a nonzero GW residual",
+        "class": list(exc.cls),
+        "residual": {
+            str(e): serialize.frac_str(c) for e, c in sorted(exc.residual.coeffs.items())
+        },
+    }
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bps-series",
@@ -315,11 +334,8 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (
-        goettsche.MismatchAgainstProduct,
-        sl2.RouteDisagreement,
-        gvtransform.UnpeeledResidual,
-    ) as exc:
+    except (sl2.RouteDisagreement, gvtransform.UnpeeledResidual) as exc:
+        _emit_json(_check_failure_to_json(exc), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:

@@ -43,6 +43,11 @@ class NonIntegralBPS(ValueError):
 class UnpeeledResidual(ArithmeticError):
     """Peeling the BPS numbers of a class left a nonzero GW residual."""
 
+    def __init__(self, cls, residual):
+        super().__init__(f"unpeeled residual at {cls}: {residual!r}")
+        self.cls = cls
+        self.residual = residual
+
 
 class LambdaSeries:
     """Even Laurent series in lambda with exponents -2, 0, 2, ..., <= order.
@@ -375,7 +380,7 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
             bps.set(h, beta, int(c))
             residual = residual - int(c) * sin_power_series(1, 2 * h - 2, lambda_order)
         if residual:
-            raise UnpeeledResidual(f"unpeeled residual at {beta}: {residual!r}")
+            raise UnpeeledResidual(beta, residual)
     return bps
 
 

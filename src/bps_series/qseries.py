@@ -242,24 +242,36 @@ def eta_product(exponent, order):
 
 
 def geom_factor_product(specs, order, nvars):
-    """prod_{n=1}^{order} prod_{(exps, c, e) in specs} (1 - c * x^exps * q^n)^e.
+    """prod_{n=1}^{order} prod_{(exps, c, e) in specs} (1 - c * x^exps * q^n)^e
+    as a QSeries truncated at order.
+
+    The coefficients are LaurentPoly in nvars variables, or Fraction when
+    nvars == 0 (every exps is then ()); euler_int_layers computes them.
+    """
+    layers = euler_int_layers(specs, order, nvars)
+    if nvars == 0:
+        return QSeries([Fraction(layer.get((), 0)) for layer in layers], order)
+    return QSeries([LaurentPoly(layer, nvars) for layer in layers], order)
+
+
+def euler_int_layers(specs, order, nvars):
+    """The integer core of geom_factor_product: [P_0, ..., P_order] with P_N
+    the q^N coefficient of prod_n prod_specs (1 - c * x^exps * q^n)^e as
+    {exponent tuple: nonzero int}.
 
     Each spec is (exps, c, e): an exponent tuple of length nvars, an integer
     coefficient c and an integer exponent e of either sign, so the factor's
-    monomial is m = c * x^exps.  The result is a QSeries truncated at order
-    whose coefficients are LaurentPoly in nvars variables, or Fraction when
-    nvars == 0 (every exps is then ()).
-
-    The coefficients P_N are dicts of ints, computed by the log-derivative
+    monomial is m = c * x^exps.  The layers come from the log-derivative
     recurrence (Knuth, TAOCP vol. 2, 4.7)
 
         N * P_N = sum_{K=1}^{N} b_K * P_{N-K},
         b_K = -sum_{(exps, c, e)} e * sum_{n | K} n * m^(K/n),
 
     where q d/dq log P = sum_K b_K q^K.  P has integer coefficients, so the
-    division by N is exact.  Each exponent tuple is packed into the int
-    sum_i exps[i] * base^i: all exponents stay within span = order * max|exps|
-    of 0, so with base = 2 * span + 1 monomial products are int additions.
+    division by N is exact and no Fraction is ever made.  Each exponent tuple
+    is packed into the int sum_i exps[i] * base^i: all exponents stay within
+    span = order * max|exps| of 0, so with base = 2 * span + 1 monomial
+    products are int additions; the tuples are unpacked once at the end.
     """
     if any(len(exps) != nvars for exps, _, _ in specs):
         raise ValueError(f"every exponent tuple must have {nvars} entries")
@@ -281,15 +293,12 @@ def geom_factor_product(specs, order, nvars):
                 for kp, cp in prev:
                     acc[kb + kp] = get(kb + kp, 0) + cb * cp
         p.append({key: v // big_n for key, v in acc.items() if v})
-    if nvars == 0:
-        return QSeries([Fraction(layer.get(0, 0)) for layer in p], order)
+
+    # adding span to every digit puts them all in [0, base)
+    offset = sum(span * base**i for i in range(nvars))
 
     def unpack(key):
-        # adding span to every digit puts them all in [0, base)
-        key += sum(span * base**i for i in range(nvars))
+        key += offset
         return tuple(key // base**i % base - span for i in range(nvars))
 
-    return QSeries(
-        [LaurentPoly({unpack(k): v for k, v in layer.items()}, nvars) for layer in p],
-        order,
-    )
+    return [{unpack(k): v for k, v in layer.items()} for layer in p]

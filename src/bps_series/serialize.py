@@ -1,17 +1,79 @@
 """JSON and TSV codecs.
 
 Rationals cross the wire as exact "p/q" strings (never floats); every emitter
-sorts its keys so repeated runs produce byte-identical output.
+sorts its keys so repeated runs produce byte-identical output.  The decoders
+of CLI inputs (tables, numerator polynomials, Z-function lists) are strict:
+a rational is a JSON int or a "p/q" string, a count is a JSON int, and any
+other value or a missing key raises SchemaError naming its JSON path.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .anomaly import GradedPoly, ZFunction
 from .gvtransform import InvariantTable
 from .laurent import LaurentPoly
 from .qseries import QSeries
+
+
+class SchemaError(ValueError):
+    """A JSON input does not follow its schema; the message names the path."""
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_JSON_TYPES = {
+    bool: "bool", int: "int", float: "float", str: "string", list: "array", dict: "object"
+}
+
+
+def _refuse(v, where):
+    raise SchemaError(f"{where}: {_JSON_TYPES.get(type(v), 'null')} not allowed")
+
+
+def _int(v, where):
+    if type(v) is not int:
+        _refuse(v, where)
+    return v
+
+
+def _rational(v, where):
+    if type(v) is int:
+        return Fraction(v)
+    if type(v) is not str:
+        _refuse(v, where)
+    if not _RATIONAL.fullmatch(v):
+        raise SchemaError(f"{where}: {v!r} is not an integer or a p/q string")
+    return Fraction(v)
+
+
+def _list(v, where):
+    if type(v) is not list:
+        _refuse(v, where)
+    return v
+
+
+def _ints(v, where):
+    return [_int(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where))]
+
+
+def _any(v, where):
+    return v
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _get(d, path, key, decode):
+    """decode(d[key], its path) for a JSON object d found at path."""
+    where = _join(path, key)
+    if type(d) is not dict:
+        raise SchemaError(f"{path or 'document'}: expected an object")
+    if key not in d:
+        raise SchemaError(f"missing key: {where}")
+    return decode(d[key], where)
 
 
 def frac_str(x):
@@ -75,15 +137,17 @@ def table_to_json(t):
 
 
 def table_from_json(d):
-    entries = {
-        (e["genus"], tuple(e["class"])): Fraction(e["value"]) for e in d["entries"]
-    }
+    entries = {}
+    for i, e in enumerate(_get(d, "", "entries", _list)):
+        where = f"entries[{i}]"
+        key = (_get(e, where, "genus", _int), tuple(_get(e, where, "class", _ints)))
+        entries[key] = _get(e, where, "value", _rational)
     return InvariantTable(
-        d["kind"],
-        d["rank"],
-        tuple(d["degree_weights"]),
-        d["max_genus"],
-        d["max_degree"],
+        _get(d, "", "kind", _any),
+        _get(d, "", "rank", _int),
+        tuple(_get(d, "", "degree_weights", _ints)),
+        _get(d, "", "max_genus", _int),
+        _get(d, "", "max_degree", _int),
         entries,
     )
 
@@ -98,14 +162,13 @@ def poly_to_json(p):
     }
 
 
-def poly_from_json(d):
-    return GradedPoly(
-        d["weight"],
-        {
-            (m["e2"], m["e4"], m["e6"]): Fraction(m["coeff"])
-            for m in d["monomials"]
-        },
-    )
+def poly_from_json(d, path=""):
+    monomials = {}
+    for i, m in enumerate(_get(d, path, "monomials", _list)):
+        where = f"{_join(path, 'monomials')}[{i}]"
+        key = tuple(_get(m, where, e, _int) for e in ("e2", "e4", "e6"))
+        monomials[key] = _get(m, where, "coeff", _rational)
+    return GradedPoly(_get(d, path, "weight", _int), monomials)
 
 
 def zfunctions_to_json(zfs):
@@ -116,7 +179,14 @@ def zfunctions_to_json(zfs):
 
 
 def zfunctions_from_json(items):
-    return [ZFunction(d["n"], d["g"], poly_from_json(d["poly"])) for d in items]
+    return [
+        ZFunction(
+            _get(d, f"[{i}]", "n", _int),
+            _get(d, f"[{i}]", "g", _int),
+            _get(d, f"[{i}]", "poly", poly_from_json),
+        )
+        for i, d in enumerate(_list(items, "document"))
+    ]
 
 
 def spin_str(two_j):

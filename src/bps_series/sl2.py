@@ -28,6 +28,13 @@ class NonIntegerCoefficient(ValueError):
 class RouteDisagreement(ArithmeticError):
     """I-basis peeling and the u-expansion give different BPS numbers."""
 
+    def __init__(self, via_character, via_u):
+        super().__init__(
+            f"I-basis peeling gave {via_character} but u-expansion gave {via_u}"
+        )
+        self.via_character = via_character
+        self.via_u = via_u
+
 
 def _check_decomposable(p, what="polynomial"):
     if not p.has_integer_coeffs():
@@ -158,9 +165,7 @@ def bps_from_character(p):
     via_u = u_expand(p.subs_one(1))
 
     if via_layers != via_u:
-        raise RouteDisagreement(
-            f"I-basis peeling gave {via_layers} but u-expansion gave {via_u}"
-        )
+        raise RouteDisagreement(via_layers, via_u)
     return via_layers
 
 

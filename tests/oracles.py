@@ -173,3 +173,67 @@ def super_sym_layers(
                         tgt[key] = tgt.get(key, 0) + c1 * c2
         layers = out
     return [{e: c for e, c in lay.items() if c} for lay in layers]
+
+
+def triple_product_rhs(lambda_order: int, q_order: int) -> list[list[Fraction]]:
+    """(lam^2 / (2 - 2 cos lam)) prod_n (1-q^n)^4 / (1 - 2 cos(lam) q^n + q^(2n))^2.
+
+    Returns rows[m][e], the coefficient of q^m lam^e.  Built generically in
+    Q[[lam]][[q]]: each factor 1 - 2 cos(lam) q^n + q^(2n) is inverted as a
+    q-series over lam-series and squared, with no use of t = e^(i lam).
+    """
+    zero = [Fraction(0)] * (lambda_order + 1)
+
+    def lam_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        return [
+            sum((a[i] * b[e - i] for i in range(e + 1)), Fraction(0))
+            for e in range(lambda_order + 1)
+        ]
+
+    def lam_inv(a: list[Fraction]) -> list[Fraction]:
+        out = [1 / a[0]]
+        for e in range(1, lambda_order + 1):
+            out.append(-sum((a[i] * out[e - i] for i in range(1, e + 1)), Fraction(0)) / a[0])
+        return out
+
+    def q_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+        out = []
+        for m in range(q_order + 1):
+            acc = zero
+            for i in range(m + 1):
+                acc = [x + y for x, y in zip(acc, lam_mul(a[i], b[m - i]))]
+            out.append(acc)
+        return out
+
+    def q_inv(a: list[list[Fraction]]) -> list[list[Fraction]]:
+        c0 = lam_inv(a[0])
+        out = [c0]
+        for m in range(1, q_order + 1):
+            acc = zero
+            for i in range(1, m + 1):
+                acc = [x + y for x, y in zip(acc, lam_mul(a[i], out[m - i]))]
+            out.append([-x for x in lam_mul(c0, acc)])
+        return out
+
+    one = [Fraction(1)] + zero[1:]
+    cos_lam = list(zero)
+    fact = 1
+    for e in range(lambda_order + 1):
+        if e % 2 == 0:
+            cos_lam[e] = Fraction((-1) ** (e // 2), fact)
+        fact *= e + 1
+    rows = [one] + [zero] * q_order
+    for n in range(1, q_order + 1):
+        for _ in range(4):  # times (1 - q^n)
+            for m in range(q_order, n - 1, -1):
+                rows[m] = [x - y for x, y in zip(rows[m], rows[m - n])]
+        factor = [one] + [zero] * q_order
+        factor[n] = [-2 * x for x in cos_lam]
+        if 2 * n <= q_order:
+            factor[2 * n] = one
+        inv = q_inv(factor)
+        rows = q_mul(q_mul(rows, inv), inv)
+    # (2 - 2 cos lam) / lam^2 from the lam^(e+2) coefficients of 2 - 2 cos lam
+    shifted = two_minus_two_cos(1, lambda_order + 2)
+    prefactor = lam_inv([shifted.get(e + 2, Fraction(0)) for e in range(lambda_order + 1)])
+    return [lam_mul(row, prefactor) for row in rows]

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+import re
+import time
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bps_series import anomaly, cli
 from bps_series.anomaly import (
     GradedPoly,
     InconsistentBoundary,
@@ -21,6 +26,7 @@ from bps_series.anomaly import (
     reference_solutions,
     solve_anomaly,
     triple_product_check,
+    triple_product_rhs,
     verify_anomaly,
 )
 
@@ -182,3 +188,72 @@ def test_triple_product_rejects_tiny_orders():
         triple_product_check(0, 4)
     with pytest.raises(ValueError):
         triple_product_check(6, 1)
+
+
+@pytest.mark.parametrize("lambda_order, q_order", [(8, 6), (10, 8), (12, 4)])
+def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
+    expect = oracles.triple_product_rhs(lambda_order, q_order)
+    got = triple_product_rhs(lambda_order, q_order)
+    assert got.order == q_order
+    for m in range(q_order + 1):
+        assert got[m].order == lambda_order
+        for e in range(lambda_order + 1):
+            assert got[m][e] == expect[m][e], (m, e)
+
+
+def test_triple_product_check_is_fast():
+    start = time.monotonic()
+    assert triple_product_check(20, 20)["ok"]
+    assert time.monotonic() - start < 5.0
+
+
+def _corrupt_zeta_ratio(monkeypatch):
+    real = anomaly.zeta_even_ratio
+    monkeypatch.setattr(
+        anomaly, "zeta_even_ratio", lambda k: real(k) + (1 if k == 2 else 0)
+    )
+
+
+def _corrupt_product_layer(monkeypatch, m):
+    real = anomaly.euler_int_layers
+
+    def perturbed(specs, order, nvars):
+        layers = real(specs, order, nvars)
+        layers[m][(1,)] = layers[m].get((1,), 0) + 1
+        return layers
+
+    monkeypatch.setattr(anomaly, "euler_int_layers", perturbed)
+
+
+def test_triple_product_check_catches_left_side_fault(monkeypatch):
+    _corrupt_zeta_ratio(monkeypatch)
+    result = triple_product_check(8, 6)
+    assert result["ok"] is False
+    mismatch = result["first_mismatch"]
+    assert (mismatch["lambda"], mismatch["q"]) == (4, 0)
+    assert mismatch["lhs"] - mismatch["rhs"] == 1
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_triple_product_check_catches_product_side_fault(monkeypatch, m):
+    _corrupt_product_layer(monkeypatch, m)
+    result = triple_product_check(8, 6)
+    assert result["ok"] is False
+    mismatch = result["first_mismatch"]
+    assert (mismatch["lambda"], mismatch["q"]) == (0, m)
+    assert mismatch["rhs"] - mismatch["lhs"] == 1
+
+
+def test_triple_product_command_reports_mismatch(monkeypatch, tmp_path):
+    _corrupt_zeta_ratio(monkeypatch)
+    out = tmp_path / "out.json"
+    argv = ["triple-product-check", "--lambda-order", "8", "--q-order", "4"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    assert (doc["lambda_order"], doc["q_order"]) == (8, 4)
+    mismatch = doc["first_mismatch"]
+    assert (mismatch["lambda"], mismatch["q"]) == (4, 0)
+    for side in ("lhs", "rhs"):
+        assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", mismatch[side])
+    assert Fraction(mismatch["lhs"]) - Fraction(mismatch["rhs"]) == 1

@@ -172,6 +172,40 @@ def test_triple_product_command(tmp_path):
     assert json.loads(text)["ok"] is True
 
 
+def test_float_table_value_is_refused(tmp_path, capsys):
+    gw = InvariantTable("gw", 1, (1,), 4, 4, {(0, (1,)): 1, (1, (1,)): Fraction(1, 2)})
+    doc = serialize.table_to_json(gw)
+    doc["entries"][1]["value"] = 0.5
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "gv-from-gw", "--in", str(path))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: entries[1].value: float not allowed\n"
+
+
+def test_missing_table_key_is_named(tmp_path, capsys):
+    doc = serialize.table_to_json(InvariantTable("bps", 1, (1,), 2, 2, {(0, (1,)): 1}))
+    del doc["entries"]
+    path = tmp_path / "bps.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "gw-from-gv", "--in", str(path))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: missing key: entries\n"
+
+
+def test_float_numerator_coefficient_is_refused(tmp_path, capsys):
+    import bps_series
+
+    doc = serialize.zfunctions_to_json(bps_series.reference_solutions())
+    doc[2]["poly"]["monomials"][1]["coeff"] = 1.0
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "anomaly-verify", "--table", str(path))
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: [2].poly.monomials[1].coeff: float not allowed\n"
+
+
 def test_usage_errors():
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["eisenstein", "--weight", "4", "--bogus"]) == 2

@@ -1,10 +1,12 @@
 """The two internal cross-checks must fire under `python -O`, where bare
 asserts are stripped.  Each child process runs with -O, forces one route to
 disagree by patching a helper, and then either calls the library (expecting
-the typed exception) or the CLI (expecting exit 1 with no traceback)."""
+the typed exception) or the CLI (expecting exit 1, a structured JSON payload
+on stdout and no traceback)."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -72,9 +74,29 @@ def test_check_raises_typed_error_under_O(route, exc_name, tmp_path):
     assert proc.stdout.strip() == exc_name
 
 
+# the patched u_expand adds 1 to every n_h of the unit character {0: 1};
+# the patched sin_power_series drops the k = 1 kernel, so the genus-0 GW
+# value 1 of class (1,) stays behind as 1 * lam^-2
+PAYLOADS = {
+    "character": {
+        "ok": False,
+        "error": "I-basis peeling and u-expansion disagree",
+        "via_character": {"0": 1},
+        "via_u": {"0": 2},
+    },
+    "residual": {
+        "ok": False,
+        "error": "peeling left a nonzero GW residual",
+        "class": [1],
+        "residual": {"-2": "1"},
+    },
+}
+
+
 @pytest.mark.parametrize("route", ["character", "residual"])
 def test_cli_exits_1_under_O(route, tmp_path):
     proc = run_child(route, "cli", tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == PAYLOADS[route]

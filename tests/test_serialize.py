@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from bps_series.gvtransform import InvariantTable
 from bps_series.laurent import LaurentPoly
 from bps_series.qseries import QSeries, eta_product
 from bps_series.serialize import (
+    SchemaError,
     decomposition_to_json,
     frac_str,
     poly_from_json,
@@ -105,3 +107,44 @@ def test_decomposition_layout():
     layers = {0: {2: 1, 0: 1}, 1: {1: -2}}
     d = decomposition_to_json(layers)
     assert d == {"I_basis": {"0": {"0": 1, "1": 1}, "1": {"1/2": -2}}}
+
+
+def test_decoders_refuse_off_schema_values():
+    good = table_to_json(InvariantTable("gw", 1, (1,), 2, 2, {(0, (1,)): Fraction(1, 3)}))
+    cases = [
+        (("entries", 0, "value"), 0.5, "entries[0].value: float not allowed"),
+        (("entries", 0, "value"), "0.5", "entries[0].value: '0.5' is not an integer or a p/q string"),
+        (("entries", 0, "value"), "1/0", "entries[0].value: '1/0' is not an integer or a p/q string"),
+        (("entries", 0, "value"), None, "entries[0].value: null not allowed"),
+        (("entries", 0, "genus"), 0.0, "entries[0].genus: float not allowed"),
+        (("entries", 0, "class", 0), True, "entries[0].class[0]: bool not allowed"),
+        (("max_genus",), "2", "max_genus: string not allowed"),
+        (("entries",), {}, "entries: object not allowed"),
+    ]
+    for path, value, message in cases:
+        doc = json.loads(json.dumps(good))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError) as info:
+            table_from_json(doc)
+        assert str(info.value) == message
+    del good["entries"][0]["class"]
+    with pytest.raises(SchemaError, match=r"^missing key: entries\[0\]\.class$"):
+        table_from_json(good)
+    with pytest.raises(SchemaError, match=r"^document: expected an object$"):
+        table_from_json([])
+    good["entries"][0].update({"class": [1], "value": -7})
+    assert table_from_json(good).get(0, (1,)) == -7
+
+
+def test_poly_decoder_names_nested_paths():
+    with pytest.raises(SchemaError, match=r"^missing key: monomials\[0\]\.e6$"):
+        poly_from_json({"weight": 4, "monomials": [{"e2": 0, "e4": 1, "coeff": "1"}]})
+    with pytest.raises(SchemaError, match=r"^\[0\]\.poly\.weight: float not allowed$"):
+        zfunctions_from_json([{"n": 1, "g": 0, "poly": {"weight": 4.0, "monomials": []}}])
+    monomial = {"e2": 0, "e4": 1, "e6": 0, "coeff": 3}
+    assert poly_from_json({"weight": 4, "monomials": [monomial]}) == GradedPoly(
+        4, {(0, 1, 0): 3}
+    )
