@@ -432,15 +432,17 @@ def genus_series_n1(g_max, q_order):
         sum_g Z_g lam^(2g) = Z_0(q) exp(2 sum_k (zeta_ratio(k)/k) E_{2k} lam^(2k))
 
     with Z_0 = E4 / prod (1-q^k)^12.  Returns [Z_0, ..., Z_{g_max}].
+
+    The exponential is read off its product form, triple_product_rhs at
+    lambda order 2 g_max: Z_g = Z_0 * sum_m [q^m lam^(2g)] rhs * q^m.
+    triple_product_check verifies that product against the exponential.
     """
     z0 = realize(GradedPoly.e4(), 1, q_order)
-    exponent_coeffs = [QSeries.zero(q_order) for _ in range(2 * g_max + 1)]
-    for k in range(1, g_max + 1):
-        exponent_coeffs[2 * k] = (2 * zeta_even_ratio(k) / k) * eisenstein(
-            2 * k, q_order
-        )
-    factor = QSeries(exponent_coeffs, var="lam").exp()
-    return [z0 * factor[2 * g] for g in range(g_max + 1)]
+    rhs = triple_product_rhs(2 * g_max, q_order)
+    return [
+        z0 * QSeries([rhs[m][2 * g] for m in range(q_order + 1)])
+        for g in range(g_max + 1)
+    ]
 
 
 def triple_product_rhs(lambda_order, q_order):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import anomaly, goettsche, gvtransform, serialize, sl2
 from .modular import eisenstein
@@ -185,7 +184,10 @@ def cmd_anomaly_verify(args):
 def cmd_anomaly_solve(args):
     table = serialize.zfunctions_from_json(_load_json(args.table))
     known = {(z.g, z.n): z.poly for z in table}
-    boundary = [Fraction(x) for x in args.boundary.split(",")]
+    boundary = [
+        serialize.rational(x, f"--boundary[{i}]")
+        for i, x in enumerate(args.boundary.split(","))
+    ]
     try:
         poly = anomaly.solve_anomaly(args.n, args.g, known, boundary)
     except anomaly.InconsistentBoundary as exc:

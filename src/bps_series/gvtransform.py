@@ -106,62 +106,33 @@ class LambdaSeries:
 
 @lru_cache(maxsize=None)
 def _sin_power_cached(k, exponent, lambda_order):
-    # 2 sin(k lam / 2) = k lam * u(lam^2),
-    # u(y) = sum_m (-1)^m (k^2/4)^m y^m / (2m+1)!,  u(0) = 1.
-    m_max = (lambda_order + 2 - exponent) // 2 + 1
-    u = []
-    for m in range(m_max + 1):
-        u.append(Fraction((-1) ** m * k ** (2 * m), 4**m * factorial(2 * m + 1)))
-    # u^exponent as a truncated power series in y = lam^2
-    ue = _poly_power(u, exponent, m_max)
-    coeffs = {}
-    for m, c in enumerate(ue):
-        e = exponent + 2 * m
-        if -2 <= e <= lambda_order and c:
-            coeffs[e] = Fraction(k) ** exponent * c
-    return tuple(sorted(coeffs.items()))
-
-
-def _poly_power(u, e, m_max):
-    """[y^m] u(y)^e for m <= m_max, with u[0] = 1 and integer e of any sign."""
-    one = [Fraction(1)] + [Fraction(0)] * m_max
-
-    def mul(a, b):
-        out = [Fraction(0)] * (m_max + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(m_max + 1 - i):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return out
-
-    def inv(a):
-        out = [Fraction(1)] + [Fraction(0)] * m_max
-        for n in range(1, m_max + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += a[j] * out[n - j]
-            out[n] = -acc
-        return out
-
-    base = u[: m_max + 1]
-    if e < 0:
-        base = inv(base)
-        e = -e
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        if e > 1:
-            base = mul(base, base)
-        e >>= 1
-    return result
+    # 2 sin(x/2) = x * u(x^2) with u(y) = sum_j (-1)^j y^j / (4^j (2j+1)!),
+    # u(0) = 1, so with v = u^exponent
+    #     (2 sin(k lam/2))^exponent = sum_m v_m (k lam)^(exponent + 2m).
+    # v comes from the power recurrence (Knuth, TAOCP vol. 2, 4.7)
+    #     v_0 = 1,  m v_m = sum_{j=1}^{m} ((exponent+1) j - m) u_j v_{m-j}.
+    m_max = (lambda_order - exponent) // 2
+    u = [Fraction((-1) ** j, 4**j * factorial(2 * j + 1)) for j in range(m_max + 1)]
+    v = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        acc = sum(((exponent + 1) * j - m) * u[j] * v[m - j] for j in range(1, m + 1))
+        v.append(acc / m)
+    coeffs = []
+    for m, c in enumerate(v):
+        n = exponent + 2 * m
+        # keeps no term when exponent > lambda_order (v is then [1])
+        if c and n <= lambda_order:
+            coeffs.append((n, Fraction(k) ** n * c))
+    return tuple(coeffs)
 
 
 def sin_power_series(k, exponent, lambda_order):
     """Exact lambda-expansion of (2 sin(k lam/2))^exponent up to lam^lambda_order.
 
-    exponent = 2h - 2 is even; for h = 0 the series starts at lam^(-2).
+    exponent = 2h - 2 is even; for h = 0 the series starts at lam^(-2), and
+    the series is empty when exponent > lambda_order.  The Fraction
+    coefficients are those of (2 sin(x/2))^exponent, from one power
+    recurrence, with x = k lam; results are cached per argument triple.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -211,6 +182,10 @@ class InvariantTable:
             raise InsufficientTruncation(
                 f"({g}, {cls}) lies outside the table window "
                 f"(max_genus={self.max_genus}, max_degree={self.max_degree})"
+            )
+        if isinstance(value, float):
+            raise ValueError(
+                f"({g}, {cls}): float {value!r} not allowed; use an int or a Fraction"
             )
         if self.kind == BPS:
             if isinstance(value, Fraction):

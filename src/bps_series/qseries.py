@@ -75,14 +75,6 @@ class QSeries:
     def zero(cls, order, var="q"):
         return cls.constant(Fraction(0), order, var)
 
-    @classmethod
-    def gen(cls, order, var="q"):
-        """The series var itself."""
-        s = cls.zero(order, var)
-        if order >= 1:
-            s.coeffs[1] = Fraction(1)
-        return s
-
     # -- basics ------------------------------------------------------------
 
     def _ring_zero(self):
@@ -163,11 +155,6 @@ class QSeries:
 
     def __rmul__(self, other):
         return QSeries([other * c for c in self.coeffs], self.order, self.var)
-
-    def __truediv__(self, other):
-        if self.is_same_ring(other):
-            return self * other.inv()
-        return self * _inv_coeff(other)
 
     def __pow__(self, e):
         if not isinstance(e, int):

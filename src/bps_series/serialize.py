@@ -15,7 +15,6 @@ from fractions import Fraction
 from .anomaly import GradedPoly, ZFunction
 from .gvtransform import InvariantTable
 from .laurent import LaurentPoly
-from .qseries import QSeries
 
 
 class SchemaError(ValueError):
@@ -38,7 +37,9 @@ def _int(v, where):
     return v
 
 
-def _rational(v, where):
+def rational(v, where):
+    """A rational given as an int or a "p/q" string; anything else, floats and
+    decimal strings included, raises SchemaError naming where."""
     if type(v) is int:
         return Fraction(v)
     if type(v) is not str:
@@ -90,26 +91,12 @@ def coeff_to_json(c):
     return frac_str(c)
 
 
-def coeff_from_json(v):
-    if isinstance(v, list):
-        nvars = len(v[0]["exps"]) if v else 1
-        return LaurentPoly(
-            {tuple(t["exps"]): Fraction(t["coeff"]) for t in v}, nvars
-        )
-    return Fraction(v)
-
-
 def series_to_json(s):
     return {
         "var": s.var,
         "order": s.order,
         "coeffs": [coeff_to_json(c) for c in s.coeffs],
     }
-
-
-def series_from_json(d):
-    coeffs = [coeff_from_json(v) for v in d["coeffs"]]
-    return QSeries(coeffs, d["order"], d["var"])
 
 
 def series_to_tsv(s):
@@ -141,7 +128,7 @@ def table_from_json(d):
     for i, e in enumerate(_get(d, "", "entries", _list)):
         where = f"entries[{i}]"
         key = (_get(e, where, "genus", _int), tuple(_get(e, where, "class", _ints)))
-        entries[key] = _get(e, where, "value", _rational)
+        entries[key] = _get(e, where, "value", rational)
     return InvariantTable(
         _get(d, "", "kind", _any),
         _get(d, "", "rank", _int),
@@ -167,7 +154,7 @@ def poly_from_json(d, path=""):
     for i, m in enumerate(_get(d, path, "monomials", _list)):
         where = f"{_join(path, 'monomials')}[{i}]"
         key = tuple(_get(m, where, e, _int) for e in ("e2", "e4", "e6"))
-        monomials[key] = _get(m, where, "coeff", _rational)
+        monomials[key] = _get(m, where, "coeff", rational)
     return GradedPoly(_get(d, path, "weight", _int), monomials)
 
 
@@ -187,19 +174,3 @@ def zfunctions_from_json(items):
         )
         for i, d in enumerate(_list(items, "document"))
     ]
-
-
-def spin_str(two_j):
-    """Spin label for a doubled weight: 0 -> "0", 1 -> "1/2", 2 -> "1", ..."""
-    return str(Fraction(two_j, 2))
-
-
-def decomposition_to_json(layers):
-    """{h: {2j: mult}} -> {"I_basis": {"h": {"j": mult}}} with spins in
-    lowest terms."""
-    return {
-        "I_basis": {
-            str(h): {spin_str(two_j): m for two_j, m in sorted(spins.items())}
-            for h, spins in sorted(layers.items())
-        }
-    }

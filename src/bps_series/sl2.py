@@ -67,14 +67,15 @@ def i_basis_char(h):
     return base**h
 
 
-def decompose_spins(p):
-    """The unique virtual multiset {2j: m} with signed_char(result) == p.
+def _peel_top(p, char_of_level, what):
+    """{level: n} with p == sum n * char_of_level(level), for a symmetric
+    one-variable p with integer coefficients (what names p in errors).
 
-    Peels from the top exponent downward; requires p symmetric with integer
-    coefficients.
+    char_of_level(m) must have top term (-1)^m t^m; peels from the top
+    exponent downward, which is triangular and stays in integers.
     """
-    _check_decomposable(p)
-    mult = {}
+    _check_decomposable(p, what)
+    out = {}
     rest = p
     while rest:
         top = rest.max_exp(0)
@@ -82,9 +83,18 @@ def decompose_spins(p):
             raise NotSymmetric(f"residual has only negative exponents: {rest!r}")
         c = rest.coeff((top,))
         m = int(c) if top % 2 == 0 else -int(c)
-        mult[top] = mult.get(top, 0) + m
-        rest = rest - m * spin_char(top)
-    return {k: v for k, v in mult.items() if v}
+        out[top] = m
+        rest = rest - m * char_of_level(top)
+    return out
+
+
+def decompose_spins(p):
+    """The unique virtual multiset {2j: m} with signed_char(result) == p.
+
+    Peels from the top exponent downward; requires p symmetric with integer
+    coefficients.
+    """
+    return _peel_top(p, spin_char, "polynomial")
 
 
 def spin_to_I_basis(decomp):
@@ -172,13 +182,4 @@ def bps_from_character(p):
 def u_expand(w):
     """Expand a symmetric one-variable Laurent polynomial in powers of
     u = 2 - t - t^(-1): returns {h: integer} with w == sum n_h * u^h."""
-    _check_decomposable(w, "u-expansion input")
-    out = {}
-    rest = w
-    while rest:
-        top = rest.max_exp(0)
-        c = rest.coeff((top,))
-        m = int(c) if top % 2 == 0 else -int(c)
-        out[top] = m
-        rest = rest - m * i_basis_char(top)
-    return {h: m for h, m in out.items() if m}
+    return _peel_top(w, i_basis_char, "u-expansion input")

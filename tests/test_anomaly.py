@@ -29,6 +29,8 @@ from bps_series.anomaly import (
     triple_product_rhs,
     verify_anomaly,
 )
+from bps_series.modular import eisenstein, zeta_even_ratio
+from bps_series.qseries import QSeries
 
 
 def weight_monomials(weight):
@@ -174,6 +176,21 @@ def test_genus_series_matches_realized_polynomials():
     for g in range(4):
         expect = realize(norm[(g, 1)], 1, 8)
         assert series[g] == expect, g
+
+
+@pytest.mark.parametrize("g_max, q_order", [(0, 5), (6, 10), (12, 8)])
+def test_genus_series_matches_resummation_exponential(g_max, q_order):
+    # the exponential built lam-major from eisenstein and zeta_even_ratio,
+    # independent of the product side genus_series_n1 reads its layers from
+    exponent = [QSeries.zero(q_order) for _ in range(2 * g_max + 1)]
+    for k in range(1, g_max + 1):
+        exponent[2 * k] = (2 * zeta_even_ratio(k) / k) * eisenstein(2 * k, q_order)
+    factor = QSeries(exponent, var="lam").exp()
+    z0 = realize(GradedPoly.e4(), 1, q_order)
+    series = genus_series_n1(g_max, q_order)
+    assert len(series) == g_max + 1
+    for g in range(g_max + 1):
+        assert series[g] == z0 * factor[2 * g], g
 
 
 def test_triple_product_identity():

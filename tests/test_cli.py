@@ -206,6 +206,24 @@ def test_float_numerator_coefficient_is_refused(tmp_path, capsys):
     assert err == "error: [2].poly.monomials[1].coeff: float not allowed\n"
 
 
+def test_decimal_boundary_is_refused(tmp_path, capsys):
+    import bps_series
+
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(serialize.zfunctions_to_json(bps_series.reference_solutions())))
+    argv = ["anomaly-solve", "--n", "1", "--g", "0", "--table", str(path)]
+    code, text = run(tmp_path, *argv, "--boundary", "1.0,252.0")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: --boundary[0]: '1.0' is not an integer or a p/q string\n"
+    code, text = run(tmp_path, *argv, "--boundary", "1,0.5e3")
+    assert code == 2 and text == ""
+    assert "--boundary[1]: '0.5e3'" in capsys.readouterr().err
+    code, text = run(tmp_path, *argv, "--boundary", "1,252")
+    assert code == 0
+    assert serialize.poly_from_json(json.loads(text)) == bps_series.GradedPoly.e4()
+
+
 def test_usage_errors():
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["eisenstein", "--weight", "4", "--bogus"]) == 2

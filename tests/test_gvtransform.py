@@ -56,6 +56,47 @@ def test_sin_power_multiplicativity(k, half_e):
         assert acc == prod[e]
 
 
+def test_sin_power_coefficients_are_fractions():
+    # a float slip such as k**e at k = 2, e = -2 still prints "1/4"
+    for k in (1, 2, 5):
+        for e in (-2, 0, 2, 6):
+            for c in sin_power_series(k, e, 10).coeffs.values():
+                assert type(c) is Fraction, (k, e, c)
+    bps = InvariantTable("bps", 1, (1,), 3, 6, {(0, (1,)): 1, (2, (2,)): -3, (1, (3,)): 2})
+    gw = gw_from_gv(bps, 8)
+    assert gw.entries
+    assert all(type(v) is Fraction for v in gw.entries.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_sin_power_is_empty_above_the_window(k):
+    for order in range(0, 9):
+        for e in range(order + 2 - order % 2, order + 9, 2):
+            assert sin_power_series(k, e, order).coeffs == {}, (e, order)
+        assert sin_power_series(k, order - order % 2, order).coeffs
+
+
+def _truncated_power(series, power, order):
+    out = {0: Fraction(1)}
+    for _ in range(power):
+        nxt = {}
+        for e1, c1 in out.items():
+            for e2, c2 in series.items():
+                if e1 + e2 <= order:
+                    nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
+        out = {e: c for e, c in nxt.items() if c}
+    return out
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 5])
+def test_sin_even_powers_match_cosine_powers(h):
+    # (2 sin(k lam/2))^(2h-2) = (2 - 2 cos(k lam))^(h-1)
+    order = 12
+    for k in range(1, 61):
+        expect = _truncated_power(oracles.two_minus_two_cos(k, order), h - 1, order)
+        assert sin_power_series(k, 2 * h - 2, order).coeffs == expect, k
+
+
 def test_sin_power_validation():
     with pytest.raises(ValueError):
         sin_power_series(0, 2, 4)
@@ -75,6 +116,18 @@ def test_table_validation():
         t.set(0, (-1,), 1)
     with pytest.raises(NonIntegralBPS):
         t.set(0, (1,), Fraction(1, 2))
+
+
+def test_table_refuses_floats():
+    bps = InvariantTable("bps", 1, (1,), 2, 4)
+    with pytest.raises(ValueError, match=r"^\(0, \(1,\)\): float 0\.7 not allowed"):
+        bps.set(0, (1,), 0.7)
+    gw = InvariantTable("gw", 2, (1, 1), 2, 4)
+    with pytest.raises(ValueError, match=r"^\(1, \(0, 2\)\): float 0\.1 not allowed"):
+        gw.set(1, (0, 2), 0.1)
+    with pytest.raises(ValueError, match="float"):
+        InvariantTable("gw", 1, (1,), 2, 4, {(0, (1,)): 2.0})
+    assert not bps.entries and not gw.entries
 
 
 def test_window_semantics():
