@@ -9,7 +9,7 @@ is used in both directions: gw_from_gv assembles the right side; gv_from_gw
 inverts it class by class in increasing degree, peeling h upward at k = 1 and
 checking that every solved n_h(beta) is an integer.
 
-Curve classes are tuples in the nonnegative cone Z_{>=0}^rank with a positive
+Curve classes are nonzero tuples in the cone Z_{>=0}^rank with a positive
 degree functional (componentwise weights).  Table windows: a BPS table's
 window is a support bound (entries outside are zero); a GW table's window is
 a truncation (entries outside are unknown, and reading them raises
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 GW = "gw"
 BPS = "bps"
@@ -52,7 +52,9 @@ class UnpeeledResidual(ArithmeticError):
 class LambdaSeries:
     """Even Laurent series in lambda with exponents -2, 0, 2, ..., <= order.
 
-    Stored as {even exponent: Fraction}; absent exponents are zero.
+    Stored as {even exponent: Fraction}; absent exponents are zero.  The
+    kernels of sin_power_series and the residual of UnpeeledResidual are
+    LambdaSeries; the transforms themselves work on genus vectors.
     """
 
     def __init__(self, coeffs=None, order=0):
@@ -69,16 +71,6 @@ class LambdaSeries:
     def __getitem__(self, e):
         return self.coeffs.get(e, Fraction(0))
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LambdaSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
     def __add__(self, other):
         order = min(self.order, other.order)
         out = LambdaSeries(order=order)
@@ -89,26 +81,16 @@ class LambdaSeries:
                     out.coeffs[e] = c
         return out
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        out = LambdaSeries(order=self.order)
-        scalar = Fraction(scalar)
-        if scalar:
-            out.coeffs = {e: scalar * c for e, c in self.coeffs.items()}
-        return out
-
     def __repr__(self):
         parts = [f"{c}*lam^{e}" for e, c in sorted(self.coeffs.items())]
         return " + ".join(parts) if parts else "0"
 
 
 @lru_cache(maxsize=None)
-def _sin_power_cached(k, exponent, lambda_order):
+def _sin_power_cached(exponent, lambda_order):
     # 2 sin(x/2) = x * u(x^2) with u(y) = sum_j (-1)^j y^j / (4^j (2j+1)!),
     # u(0) = 1, so with v = u^exponent
-    #     (2 sin(k lam/2))^exponent = sum_m v_m (k lam)^(exponent + 2m).
+    #     (2 sin(x/2))^exponent = sum_m v_m x^(exponent + 2m).
     # v comes from the power recurrence (Knuth, TAOCP vol. 2, 4.7)
     #     v_0 = 1,  m v_m = sum_{j=1}^{m} ((exponent+1) j - m) u_j v_{m-j}.
     m_max = (lambda_order - exponent) // 2
@@ -117,13 +99,10 @@ def _sin_power_cached(k, exponent, lambda_order):
     for m in range(1, m_max + 1):
         acc = sum(((exponent + 1) * j - m) * u[j] * v[m - j] for j in range(1, m + 1))
         v.append(acc / m)
-    coeffs = []
-    for m, c in enumerate(v):
-        n = exponent + 2 * m
-        # keeps no term when exponent > lambda_order (v is then [1])
-        if c and n <= lambda_order:
-            coeffs.append((n, Fraction(k) ** n * c))
-    return tuple(coeffs)
+    # keeps no term when exponent > lambda_order (v is then [1])
+    return tuple(
+        (exponent + 2 * m, c) for m, c in enumerate(v) if c and exponent + 2 * m <= lambda_order
+    )
 
 
 def sin_power_series(k, exponent, lambda_order):
@@ -131,16 +110,41 @@ def sin_power_series(k, exponent, lambda_order):
 
     exponent = 2h - 2 is even; for h = 0 the series starts at lam^(-2), and
     the series is empty when exponent > lambda_order.  The Fraction
-    coefficients are those of (2 sin(x/2))^exponent, from one power
-    recurrence, with x = k lam; results are cached per argument triple.
+    coefficients of (2 sin(x/2))^exponent come from one power recurrence,
+    cached per (exponent, lambda_order); with x = k lam the lam^n coefficient
+    is k^n times that of x^n.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if exponent % 2 or exponent < -2:
         raise ValueError("exponent must be even and >= -2")
     out = LambdaSeries(order=lambda_order)
-    out.coeffs = dict(_sin_power_cached(k, exponent, lambda_order))
+    out.coeffs = {n: Fraction(k) ** n * c for n, c in _sin_power_cached(exponent, lambda_order)}
     return out
+
+
+def _kernel_rows(h_top, lambda_order):
+    """rows[h][g] = the lam^(2g-2) coefficient of the k = 1 kernel
+    (2 sin(lam/2))^(2h-2), for h, g = 0..h_top; row h starts at g = h with 1."""
+    rows = []
+    for h in range(h_top + 1):
+        series = sin_power_series(1, 2 * h - 2, lambda_order)
+        rows.append([series[2 * g - 2] for g in range(h_top + 1)])
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _multicover_scales(k, length):
+    """(k^(2g-3) for g < length): the lam^(2g-2) coefficient of
+    (1/k) f(k lam) is k^(2g-3) times that of f(lam)."""
+    return tuple(Fraction(k) ** (2 * g - 3) for g in range(length))
+
+
+def _check_windows(lambda_order, degree_order):
+    if lambda_order < -2:
+        raise ValueError(f"lambda_order must be >= -2, got {lambda_order}")
+    if degree_order is not None and degree_order < 0:
+        raise ValueError(f"degree_order must be >= 0, got {degree_order}")
 
 
 class InvariantTable:
@@ -154,8 +158,10 @@ class InvariantTable:
     def __init__(self, kind, rank, degree_weights, max_genus, max_degree, entries=None):
         if kind not in (GW, BPS):
             raise ValueError(f"kind must be {GW!r} or {BPS!r}")
-        if len(degree_weights) != rank or any(w <= 0 for w in degree_weights):
-            raise ValueError("need one positive degree weight per lattice direction")
+        if rank < 1 or len(degree_weights) != rank or any(w <= 0 for w in degree_weights):
+            raise ValueError("need rank >= 1 and one positive degree weight per lattice direction")
+        if max_genus < 0 or max_degree < 0:
+            raise ValueError("max_genus and max_degree must be >= 0")
         self.kind = kind
         self.rank = rank
         self.degree_weights = tuple(degree_weights)
@@ -170,8 +176,8 @@ class InvariantTable:
 
     def _check_class(self, cls):
         cls = tuple(cls)
-        if len(cls) != self.rank or any(c < 0 for c in cls):
-            raise ValueError(f"{cls} is not in the rank-{self.rank} effective cone")
+        if len(cls) != self.rank or any(c < 0 for c in cls) or not any(cls):
+            raise ValueError(f"{cls} is not a nonzero class of the rank-{self.rank} effective cone")
         return cls
 
     def set(self, g, cls, value):
@@ -184,14 +190,10 @@ class InvariantTable:
                 f"(max_genus={self.max_genus}, max_degree={self.max_degree})"
             )
         if isinstance(value, float):
-            raise ValueError(
-                f"({g}, {cls}): float {value!r} not allowed; use an int or a Fraction"
-            )
+            raise ValueError(f"({g}, {cls}): float {value!r} not allowed; use an int or a Fraction")
         if self.kind == BPS:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise NonIntegralBPS(cls, g, value)
-                value = int(value)
+            if isinstance(value, Fraction) and value.denominator != 1:
+                raise NonIntegralBPS(cls, g, value)
             value = int(value)
         else:
             value = Fraction(value)
@@ -257,28 +259,28 @@ def iter_classes(rank, degree_weights, max_degree):
             rec(prefix + [c], remaining_budget - c * w)
 
     rec([], max_degree)
-    deg = lambda cls: sum(w * c for w, c in zip(degree_weights, cls))
-    out.sort(key=lambda cls: (deg(cls), cls))
+    out.sort(key=lambda cls: (sum(w * c for w, c in zip(degree_weights, cls)), cls))
     return out
 
 
 def _divide_class(cls, k):
     """cls / k when every component is divisible, else None."""
-    if any(c % k for c in cls):
-        return None
-    return tuple(c // k for c in cls)
+    return None if any(c % k for c in cls) else tuple(c // k for c in cls)
 
 
 def gw_from_gv(bps, lambda_order, degree_order=None):
     """Assemble the Gromov-Witten table from a BPS table.
 
-    For every entry n_h(beta) and every k with deg(k beta) <= degree_order,
-    add n_h(beta) (1/k) (2 sin(k lam/2))^(2h-2) at class k*beta; then
-    N_g(beta) is the lam^(2g-2) coefficient.  Exact for every genus with
-    2g - 2 <= lambda_order.
+    Each class beta gets one genus vector s_g(beta) = sum_h n_h(beta) c_{h,g},
+    where c_{h,g} is the lam^(2g-2) coefficient of the k = 1 kernel
+    (2 sin(lam/2))^(2h-2).  Since the lam^n coefficient of f(k lam) is k^n
+    times that of f(lam), the k-th multicover adds k^(2g-3) s_g(beta) to
+    N_g(k beta) for every k with deg(k beta) <= degree_order.  Exact for
+    every genus with 2g - 2 <= lambda_order.
     """
     if degree_order is None:
         degree_order = bps.max_degree
+    _check_windows(lambda_order, degree_order)
     if bps.kind != BPS:
         raise ValueError("gw_from_gv expects a BPS table")
     if degree_order > bps.max_degree:
@@ -286,23 +288,24 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
             f"BPS table only covers degree <= {bps.max_degree}, need {degree_order}"
         )
     max_genus = (lambda_order + 2) // 2
-    acc = {}  # class -> LambdaSeries
-    for (h, beta), n in sorted(bps.entries.items()):
-        if not n:
-            continue
-        deg = bps.degree(beta)
-        k = 1
-        while k * deg <= degree_order:
-            target = tuple(k * c for c in beta)
-            contrib = (n * Fraction(1, k)) * sin_power_series(
-                k, 2 * h - 2, lambda_order
-            )
-            acc[target] = acc.get(target, LambdaSeries(order=lambda_order)) + contrib
-            k += 1
+    rows = _kernel_rows(max_genus, lambda_order)
+    vectors = {}  # class -> genus vector s(beta)
+    for (h, beta), n in bps.entries.items():
+        # rows of h > max_genus are empty inside the lambda window
+        if h <= max_genus and bps.degree(beta) <= degree_order:
+            s = vectors.setdefault(beta, [0] * (max_genus + 1))
+            for g in range(h, max_genus + 1):
+                s[g] += n * rows[h][g]
+    acc = {}  # class -> genus vector of N_g
+    for beta, s in vectors.items():
+        for k in range(1, degree_order // bps.degree(beta) + 1):
+            t = acc.setdefault(tuple(k * c for c in beta), [0] * (max_genus + 1))
+            for g, (scale, c) in enumerate(zip(_multicover_scales(k, max_genus + 1), s)):
+                if c:
+                    t[g] += scale * c
     gw = InvariantTable(GW, bps.rank, bps.degree_weights, max_genus, degree_order)
-    for beta, series in acc.items():
-        for g in range(max_genus + 1):
-            c = series[2 * g - 2]
+    for beta, t in acc.items():
+        for g, c in enumerate(t):
             if c:
                 gw.set(g, beta, c)
     return gw
@@ -311,51 +314,47 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
 def gv_from_gw(gw, lambda_order, degree_order=None):
     """Invert the transform: the unique BPS table reproducing gw.
 
-    Proceeds in increasing degree of beta; at each class, subtract every
-    k >= 2 multicover contribution of the already-solved classes, then peel
-    h = 0, 1, ... from the k = 1 series (2 sin(lam/2))^(2h-2), whose leading
-    term is lam^(2h-2).  Non-integer solutions raise NonIntegralBPS carrying
-    the exact rational.
+    Proceeds in increasing degree of beta.  The genus vector r_g = N_g(beta)
+    loses k^(2g-3) s_g(beta/k) for every k >= 2 dividing beta, where s is the
+    vector an earlier class had before peeling; then h = 0, 1, ... are peeled
+    against the k = 1 kernel rows of (2 sin(lam/2))^(2h-2), whose leading term
+    is lam^(2h-2).  Non-integer solutions raise NonIntegralBPS carrying the
+    exact rational; a nonzero remainder raises UnpeeledResidual.
     """
     if gw.kind != GW:
         raise ValueError("gv_from_gw expects a GW table")
     if degree_order is None:
         degree_order = gw.max_degree
+    _check_windows(lambda_order, degree_order)
     h_max = (lambda_order + 2) // 2
     if gw.max_degree < degree_order or gw.max_genus < h_max:
         raise InsufficientTruncation(
-            f"GW table window (max_genus={gw.max_genus}, "
-            f"max_degree={gw.max_degree}) does not cover "
-            f"genus <= {h_max}, degree <= {degree_order}"
+            f"GW table window (max_genus={gw.max_genus}, max_degree={gw.max_degree}) "
+            f"does not cover genus <= {h_max}, degree <= {degree_order}"
         )
+    rows = _kernel_rows(h_max, lambda_order)
     bps = InvariantTable(BPS, gw.rank, gw.degree_weights, h_max, degree_order)
+    solved = {}  # class -> its genus vector before peeling
     for beta in iter_classes(gw.rank, gw.degree_weights, degree_order):
-        residual = LambdaSeries(order=lambda_order)
-        for g in range(h_max + 1):
-            c = gw.get(g, beta)
-            if c:
-                residual = residual + LambdaSeries({2 * g - 2: c}, lambda_order)
+        r = [gw.get(g, beta) for g in range(h_max + 1)]
         # remove multicovers k >= 2 of strictly smaller classes
-        for k in range(2, max(beta) + 1 if any(beta) else 1):
+        for k in range(2, max(beta) + 1):
             source = _divide_class(beta, k)
-            if source is None or not any(source):
-                continue
-            for h in range(h_max + 1):
-                n = bps.get(h, source)
-                if n:
-                    residual = residual - (n * Fraction(1, k)) * sin_power_series(
-                        k, 2 * h - 2, lambda_order
-                    )
-        for h in range(h_max + 1):
-            c = residual[2 * h - 2]
+            if source is not None:
+                scale = _multicover_scales(k, h_max + 1)
+                r = [a - m * b for a, m, b in zip(r, scale, solved[source])]
+        solved[beta] = r
+        for h, row in enumerate(rows):
+            c = r[h]
             if not c:
                 continue
             if c.denominator != 1:
                 raise NonIntegralBPS(beta, h, c)
             bps.set(h, beta, int(c))
-            residual = residual - int(c) * sin_power_series(1, 2 * h - 2, lambda_order)
-        if residual:
-            raise UnpeeledResidual(beta, residual)
+            r = r[:h] + [a - c * b for a, b in zip(r[h:], row[h:])]
+        if any(r):
+            residual = {2 * g - 2: c for g, c in enumerate(r)}
+            raise UnpeeledResidual(beta, LambdaSeries(residual, lambda_order))
     return bps
 
 
@@ -366,6 +365,7 @@ def roundtrip_check(bps, lambda_order=None, degree_order=None):
     """
     if lambda_order is None:
         lambda_order = 2 * bps.max_genus + 2
+    _check_windows(lambda_order, degree_order)
     if lambda_order < 2 * bps.max_genus - 2:
         raise InsufficientTruncation(
             f"lambda_order {lambda_order} cannot resolve h <= {bps.max_genus}"
@@ -376,8 +376,7 @@ def roundtrip_check(bps, lambda_order=None, degree_order=None):
     h_window = min(bps.max_genus, back.max_genus)
     for beta in bps.classes(degree_order):
         for h in range(h_window + 1):
-            want = bps.get(h, beta)
-            got = back.get(h, beta)
+            want, got = bps.get(h, beta), back.get(h, beta)
             if want != got:
                 diffs.append((h, beta, want, got))
     return not diffs, diffs

@@ -4,7 +4,9 @@ Rationals cross the wire as exact "p/q" strings (never floats); every emitter
 sorts its keys so repeated runs produce byte-identical output.  The decoders
 of CLI inputs (tables, numerator polynomials, Z-function lists) are strict:
 a rational is a JSON int or a "p/q" string, a count is a JSON int, and any
-other value or a missing key raises SchemaError naming its JSON path.
+other value or a missing key raises SchemaError naming its JSON path.  A
+table's counts are >= 0, and its entries are checked one by one (integral in
+a bps table, no duplicate, inside the window and the cone) with their path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .anomaly import GradedPoly, ZFunction
-from .gvtransform import InvariantTable
+from .gvtransform import BPS, GW, InvariantTable
 from .laurent import LaurentPoly
 
 
@@ -59,7 +61,22 @@ def _ints(v, where):
     return [_int(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where))]
 
 
-def _any(v, where):
+def _count(v, where):
+    """A JSON int >= 0."""
+    if _int(v, where) < 0:
+        raise SchemaError(f"{where}: {v} is negative")
+    return v
+
+
+def _counts(v, where):
+    return [_count(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where))]
+
+
+def _kind(v, where):
+    if type(v) is not str:
+        _refuse(v, where)
+    if v not in (GW, BPS):
+        raise SchemaError(f"{where}: {v!r} is not {GW!r} or {BPS!r}")
     return v
 
 
@@ -124,19 +141,33 @@ def table_to_json(t):
 
 
 def table_from_json(d):
-    entries = {}
+    """An InvariantTable; every fault of the document, header or entry,
+    raises SchemaError naming its path (entries[i] for a per-entry fault)."""
+    kind = _get(d, "", "kind", _kind)
+    rank = _get(d, "", "rank", _count)
+    weights = _get(d, "", "degree_weights", _counts)
+    if not rank:
+        raise SchemaError("rank: 0 is not positive")
+    if len(weights) != rank or not all(weights):
+        raise SchemaError(f"degree_weights: need {rank} positive weights, got {weights}")
+    table = InvariantTable(
+        kind, rank, weights, _get(d, "", "max_genus", _count), _get(d, "", "max_degree", _count)
+    )
+    seen = {}
     for i, e in enumerate(_get(d, "", "entries", _list)):
         where = f"entries[{i}]"
-        key = (_get(e, where, "genus", _int), tuple(_get(e, where, "class", _ints)))
-        entries[key] = _get(e, where, "value", rational)
-    return InvariantTable(
-        _get(d, "", "kind", _any),
-        _get(d, "", "rank", _int),
-        tuple(_get(d, "", "degree_weights", _ints)),
-        _get(d, "", "max_genus", _int),
-        _get(d, "", "max_degree", _int),
-        entries,
-    )
+        key = (_get(e, where, "genus", _count), tuple(_get(e, where, "class", _counts)))
+        value = _get(e, where, "value", rational)
+        if key in seen:
+            raise SchemaError(f"{where}: duplicate of entries[{seen[key]}]")
+        seen[key] = i
+        if kind == BPS and value.denominator != 1:
+            raise SchemaError(f"{where}.value: {value} is not an integer in a bps table")
+        try:
+            table.set(*key, value)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    return table
 
 
 def poly_to_json(p):

@@ -237,3 +237,49 @@ def triple_product_rhs(lambda_order: int, q_order: int) -> list[list[Fraction]]:
     shifted = two_minus_two_cos(1, lambda_order + 2)
     prefactor = lam_inv([shifted.get(e + 2, Fraction(0)) for e in range(lambda_order + 1)])
     return [lam_mul(row, prefactor) for row in rows]
+
+
+def gw_from_bps(
+    entries: dict[tuple[int, tuple[int, ...]], int],
+    degree_weights: tuple[int, ...],
+    lambda_order: int,
+    degree_order: int,
+) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """{(g, class): N_g} from BPS numbers {(h, class): n_h} by the direct
+    multicover sum
+
+        sum_{k >= 1} n_h(beta) (1/k) (2 - 2 cos(k lam))^(h-1) at class k beta,
+
+    read at lam^(2g-2) for 2g - 2 <= lambda_order and deg(k beta) <=
+    degree_order.  (2 - 2cos)^(-1) comes from a series division, higher
+    powers from repeated multiplication, one (h, k) at a time."""
+
+    def kernel(k: int, h: int) -> dict[int, Fraction]:
+        if h == 0:
+            # 2 - 2cos(k lam) = k^2 lam^2 (1 + a_1 lam^2 + ...): invert the bracket
+            t = two_minus_two_cos(k, lambda_order + 4)
+            a = [t.get(2 * j + 2, Fraction(0)) / k**2 for j in range(lambda_order // 2 + 2)]
+            b = [Fraction(1)]
+            for m in range(1, len(a)):
+                b.append(-sum((a[j] * b[m - j] for j in range(1, m + 1)), Fraction(0)))
+            return {2 * m - 2: c / k**2 for m, c in enumerate(b) if 2 * m - 2 <= lambda_order}
+        out = {0: Fraction(1)}
+        for _ in range(h - 1):
+            nxt: dict[int, Fraction] = {}
+            for e1, c1 in out.items():
+                for e2, c2 in two_minus_two_cos(k, lambda_order).items():
+                    if e1 + e2 <= lambda_order:
+                        nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+            out = nxt
+        return {e: c for e, c in out.items() if e <= lambda_order}
+
+    total: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for (h, beta), n in entries.items():
+        degree = sum(w * c for w, c in zip(degree_weights, beta))
+        k = 1
+        while k * degree <= degree_order:
+            for e, c in kernel(k, h).items():
+                key = ((e + 2) // 2, tuple(k * x for x in beta))
+                total[key] = total.get(key, Fraction(0)) + Fraction(n, k) * c
+            k += 1
+    return {key: v for key, v in total.items() if v}

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from bps_series import cli, serialize
 from bps_series.gvtransform import InvariantTable, gw_from_gv
 from bps_series.modular import divisor_sigma
@@ -222,6 +224,47 @@ def test_decimal_boundary_is_refused(tmp_path, capsys):
     code, text = run(tmp_path, *argv, "--boundary", "1,252")
     assert code == 0
     assert serialize.poly_from_json(json.loads(text)) == bps_series.GradedPoly.e4()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("gw-from-gv", "--lambda-order", "-5", "lambda_order must be >= -2, got -5"),
+        ("gv-from-gw", "--lambda-order", "-4", "lambda_order must be >= -2, got -4"),
+        ("gw-from-gv", "--degree", "-2", "degree_order must be >= 0, got -2"),
+        ("gv-from-gw", "--degree", "-2", "degree_order must be >= 0, got -2"),
+        ("roundtrip-check", "--degree", "-2", "degree_order must be >= 0, got -2"),
+    ],
+)
+def test_negative_windows_are_refused(tmp_path, capsys, command, flag, value, message):
+    kind = "gw" if command == "gv-from-gw" else "bps"
+    path = write_table(tmp_path, "t.json", InvariantTable(kind, 1, (1,), 2, 3, {(0, (1,)): 1}))
+    code, text = run(tmp_path, command, "--in", path, flag, value)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_roundtrip_refuses_negative_lambda_order(tmp_path, capsys):
+    path = write_table(tmp_path, "t.json", InvariantTable("bps", 1, (1,), 0, 3))
+    code, text = run(tmp_path, "roundtrip-check", "--in", path, "--lambda-order", "-3")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: lambda_order must be >= -2, got -3\n"
+
+
+def test_input_faults_exit_2_computed_faults_exit_1(tmp_path, capsys):
+    # a non-integral BPS value in the input is a schema fault with a path;
+    # a non-integral BPS value solved from a GW table is a verification failure
+    doc = serialize.table_to_json(InvariantTable("bps", 1, (1,), 2, 2, {(0, (1,)): 1}))
+    doc["entries"][0]["value"] = "1/2"
+    path = tmp_path / "bps.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "gw-from-gv", "--in", str(path))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: entries[0].value: 1/2 is not an integer in a bps table\n"
+    doc["kind"] = "gw"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "gv-from-gw", "--in", str(path), "--lambda-order", "2")
+    assert code == 1 and json.loads(text)["value"] == "1/2"
 
 
 def test_usage_errors():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -251,3 +252,64 @@ def test_empty_table_round_trips():
     assert gw.entries == {}
     ok, diffs = roundtrip_check(bps)
     assert ok and diffs == []
+
+
+@st.composite
+def weighted_bps_cases(draw):
+    """(table, lambda_order, degree_order) over rank 1-3, degree weights 1..3,
+    degree_order up to the table's max_degree, odd and even lambda orders,
+    and BPS entries whose h lies above the lambda window."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)))
+    max_degree = draw(st.integers(min_value=0, max_value=7))
+    max_genus = draw(st.integers(min_value=0, max_value=5))
+    classes = [
+        cls
+        for cls in product(range(max_degree + 1), repeat=rank)
+        if any(cls) and sum(w * c for w, c in zip(weights, cls)) <= max_degree
+    ]
+    entries = {}
+    if classes:
+        slots = st.tuples(st.integers(0, max_genus), st.sampled_from(classes))
+        values = st.integers(-9, 9).filter(bool)
+        entries = draw(st.dictionaries(slots, values, max_size=8))
+    table = InvariantTable("bps", rank, weights, max_genus, max_degree, entries)
+    lambda_order = draw(st.integers(min_value=-2, max_value=2 * max_genus + 1))
+    degree_order = draw(st.integers(min_value=0, max_value=max_degree))
+    return table, lambda_order, degree_order
+
+
+@given(weighted_bps_cases())
+@settings(max_examples=80, deadline=None)
+def test_transform_matches_multicover_oracle(case):
+    bps, lambda_order, degree_order = case
+    gw = gw_from_gv(bps, lambda_order, degree_order)
+    assert (gw.max_genus, gw.max_degree) == ((lambda_order + 2) // 2, degree_order)
+    assert gw.entries == oracles.gw_from_bps(
+        bps.entries, bps.degree_weights, lambda_order, degree_order
+    )
+    # the inverse recovers every entry inside both windows, and only those
+    h_max = (lambda_order + 2) // 2
+    kept = {
+        (h, cls): n
+        for (h, cls), n in bps.entries.items()
+        if h <= h_max and bps.degree(cls) <= degree_order
+    }
+    expected = InvariantTable("bps", bps.rank, bps.degree_weights, h_max, degree_order, kept)
+    assert gv_from_gw(gw, lambda_order, degree_order) == expected
+
+
+def test_oracle_case_with_rows_above_the_window():
+    # n_3 at lambda order 1 (window h <= 1) contributes nothing; n_0 and n_1
+    # of a weight-2 class cover it twice at degree_order 4 but not at 3
+    bps = InvariantTable("bps", 2, (1, 2), 3, 4, {(0, (0, 1)): 2, (1, (0, 1)): -1, (3, (1, 0)): 5})
+    for degree_order in (3, 4):
+        gw = gw_from_gv(bps, 1, degree_order)
+        want = oracles.gw_from_bps(bps.entries, (1, 2), 1, degree_order)
+        assert gw.entries == want
+        assert ((0, (0, 2)) in want) == (degree_order == 4)
+    # k = 2: n_0 = 2 gives 2 (1/2) (2 sin lam)^(-2) = 1/4 lam^-2 + 1/12 + ...,
+    # n_1 = -1 gives -1/2 lam^0
+    assert want[(0, (0, 2))] == Fraction(1, 4)
+    assert want[(1, (0, 2))] == Fraction(1, 12) - Fraction(1, 2)
+    assert not any(cls == (1, 0) for _, cls in want)

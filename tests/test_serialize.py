@@ -141,3 +141,43 @@ def test_poly_decoder_names_nested_paths():
     assert poly_from_json({"weight": 4, "monomials": [monomial]}) == GradedPoly(
         4, {(0, 1, 0): 3}
     )
+
+
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        ("bps", lambda d: d["entries"][0].update(value="1/2"),
+         "entries[0].value: 1/2 is not an integer in a bps table"),
+        ("bps", lambda d: d["entries"].append(dict(d["entries"][1])),
+         "entries[2]: duplicate of entries[1]"),
+        ("gw", lambda d: d["entries"].append({"genus": 0, "class": [0, 2], "value": "3"}),
+         "entries[2]: duplicate of entries[0]"),
+        ("bps", lambda d: d["entries"][1].update(genus=3),
+         "entries[1]: (3, (1, 1)) lies outside the table window (max_genus=2, max_degree=3)"),
+        ("gw", lambda d: d["entries"][0].update({"class": [2, 2]}),
+         "entries[0]: (0, (2, 2)) lies outside the table window (max_genus=2, max_degree=3)"),
+        ("bps", lambda d: d["entries"][0].update({"class": [1, 0, 1]}),
+         "entries[0]: (1, 0, 1) is not a nonzero class of the rank-2 effective cone"),
+        ("bps", lambda d: d["entries"][0].update({"class": [0, 0]}),
+         "entries[0]: (0, 0) is not a nonzero class of the rank-2 effective cone"),
+        ("bps", lambda d: d["entries"][0]["class"].__setitem__(1, -1),
+         "entries[0].class[1]: -1 is negative"),
+        ("gw", lambda d: d["entries"][1].update(genus=-1), "entries[1].genus: -1 is negative"),
+        ("bps", lambda d: d.update(max_degree=-1), "max_degree: -1 is negative"),
+        ("gw", lambda d: d.update(max_genus=-2), "max_genus: -2 is negative"),
+        ("bps", lambda d: d.update(rank=0), "rank: 0 is not positive"),
+        ("bps", lambda d: d.update(degree_weights=[1, 0]),
+         "degree_weights: need 2 positive weights, got [1, 0]"),
+        ("gw", lambda d: d.update(degree_weights=[1]),
+         "degree_weights: need 2 positive weights, got [1]"),
+        ("bps", lambda d: d.update(kind="gv"), "kind: 'gv' is not 'gw' or 'bps'"),
+        ("gw", lambda d: d.update(kind=None), "kind: null not allowed"),
+    ],
+)
+def test_table_faults_name_their_path(kind, change, message):
+    entries = {(0, (0, 2)): 3, (1, (1, 1)): -2}
+    doc = table_to_json(InvariantTable(kind, 2, (1, 1), 2, 3, entries))
+    change(doc)
+    with pytest.raises(SchemaError) as info:
+        table_from_json(doc)
+    assert str(info.value) == message
