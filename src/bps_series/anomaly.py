@@ -18,8 +18,10 @@ assuming it.  All remaining equations must then hold literally and exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
+from .laurent import collect, mul_terms
 from .modular import eisenstein, zeta_even_ratio
 from .qseries import QSeries, eta_product, euler_int_layers
 
@@ -52,7 +54,7 @@ class GradedPoly:
         if weight < 0:
             raise WeightMismatch(f"weight must be >= 0, got {weight}")
         self.weight = weight
-        self.monomials = {}
+        pairs = []
         for key, coeff in (monomials or {}).items():
             a, b, c = key
             if min(a, b, c) < 0:
@@ -61,11 +63,8 @@ class GradedPoly:
                 raise WeightMismatch(
                     f"monomial {key} has weight {2*a + 4*b + 6*c}, declared {weight}"
                 )
-            coeff = Fraction(coeff)
-            if coeff:
-                self.monomials[key] = self.monomials.get(key, Fraction(0)) + coeff
-                if not self.monomials[key]:
-                    del self.monomials[key]
+            pairs.append((key, Fraction(coeff)))
+        self.monomials = collect(pairs)
 
     @classmethod
     def e2(cls):
@@ -100,14 +99,7 @@ class GradedPoly:
                 f"cannot add weight {self.weight} to weight {other.weight}"
             )
         out = GradedPoly(self.weight if self.monomials else other.weight)
-        terms = dict(self.monomials)
-        for key, c in other.monomials.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out.monomials = terms
+        out.monomials = collect(chain(self.monomials.items(), other.monomials.items()))
         return out
 
     def __neg__(self):
@@ -127,16 +119,7 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         out = GradedPoly(self.weight + other.weight)
-        terms = {}
-        for (a1, b1, c1), x in self.monomials.items():
-            for (a2, b2, c2), y in other.monomials.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                s = terms.get(key, Fraction(0)) + x * y
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out.monomials = terms
+        out.monomials = mul_terms(self.monomials, other.monomials)
         return out
 
     __rmul__ = __mul__

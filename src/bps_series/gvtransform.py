@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial
+
+from .laurent import collect
 
 GW = "gw"
 BPS = "bps"
@@ -59,14 +62,13 @@ class LambdaSeries:
 
     def __init__(self, coeffs=None, order=0):
         self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < -2 or e % 2:
-                    raise ValueError(f"lambda exponent {e} out of range")
-                c = Fraction(c)
-                if c and e <= order:
-                    self.coeffs[e] = c
+        pairs = []
+        for e, c in (coeffs or {}).items():
+            if e < -2 or e % 2:
+                raise ValueError(f"lambda exponent {e} out of range")
+            if e <= order:
+                pairs.append((e, Fraction(c)))
+        self.coeffs = collect(pairs)
 
     def __getitem__(self, e):
         return self.coeffs.get(e, Fraction(0))
@@ -74,11 +76,8 @@ class LambdaSeries:
     def __add__(self, other):
         order = min(self.order, other.order)
         out = LambdaSeries(order=order)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e <= order:
-                c = self[e] + other[e]
-                if c:
-                    out.coeffs[e] = c
+        terms = chain(self.coeffs.items(), other.coeffs.items())
+        out.coeffs = collect((e, c) for e, c in terms if e <= order)
         return out
 
     def __repr__(self):

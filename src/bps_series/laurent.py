@@ -10,8 +10,35 @@ stored.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 _VAR_NAMES = {1: ("t",), 2: ("tL", "tR")}
+
+
+# -- the sparse-term core ------------------------------------------------------
+# A term dict maps a key (an exponent tuple, or an int) to a nonzero exact
+# coefficient.  LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries
+# store their terms this way and do all merging and multiplying through the
+# functions below.
+
+
+def collect(pairs):
+    """{key: sum of its coefficients} over (key, coefficient) pairs, zeros dropped."""
+    out = {}
+    get = out.get
+    for key, c in pairs:
+        s = get(key)
+        out[key] = c if s is None else s + c
+    return {key: c for key, c in out.items() if c}
+
+
+def mul_terms(a, b):
+    """The product of two term dicts whose keys are exponent tuples, added
+    componentwise."""
+    return collect(
+        (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
+    )
 
 
 class LaurentPoly:
@@ -19,20 +46,21 @@ class LaurentPoly:
 
     def __init__(self, terms=None, nvars=1):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if isinstance(exps, int):
-                    exps = (exps,)
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent {exps} has wrong arity for {nvars} vars")
-                c = Fraction(c)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        self.terms = clean
+        pairs = []
+        for exps, c in (terms or {}).items():
+            exps = (exps,) if isinstance(exps, int) else tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent {exps} has wrong arity for {nvars} vars")
+            pairs.append((exps, Fraction(c)))
+        self.terms = collect(pairs)
+
+    @classmethod
+    def _of(cls, terms, nvars):
+        """Wrap a term dict that already has nonzero Fraction values."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -105,23 +133,12 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in o.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        out = LaurentPoly(nvars=self.nvars)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(collect(chain(self.terms.items(), o.terms.items())), self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly(nvars=self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()}, self.nvars)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -134,32 +151,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly(nvars=self.nvars)
-            out = LaurentPoly(nvars=self.nvars)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return LaurentPoly._of(terms, self.nvars)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
-        get = terms.get
-        nv = self.nvars
-        if nv == 1:
-            for (e1,), c1 in self.terms.items():
-                for (e2,), c2 in o.terms.items():
-                    k = (e1 + e2,)
-                    s = get(k, 0) + c1 * c2
-                    terms[k] = s
-        else:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in o.terms.items():
-                    k = tuple(a + b for a, b in zip(e1, e2))
-                    s = get(k, 0) + c1 * c2
-                    terms[k] = s
-        out = LaurentPoly(nvars=nv)
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+        return LaurentPoly._of(mul_terms(self.terms, o.terms), self.nvars)
 
     __rmul__ = __mul__
 
@@ -193,12 +190,11 @@ class LaurentPoly:
 
     def flip(self, var=0):
         """Substitute x_var -> x_var^(-1)."""
-        out = LaurentPoly(nvars=self.nvars)
-        out.terms = {
+        flipped = {
             tuple(-x if i == var else x for i, x in enumerate(e)): c
             for e, c in self.terms.items()
         }
-        return out
+        return LaurentPoly._of(flipped, self.nvars)
 
     def is_symmetric(self, var=0):
         return self.flip(var) == self
@@ -224,24 +220,17 @@ class LaurentPoly:
     def subs_one(self, var):
         """Set x_var = 1, returning a polynomial in the remaining variables
         (a Fraction if no variable remains)."""
+        if not 0 <= var < self.nvars:
+            raise ValueError("no such variable")
         if self.nvars == 1:
-            if var != 0:
-                raise ValueError("no such variable")
-            return sum(self.terms.values(), Fraction(0))
-        collected = {}
-        for exps, c in self.terms.items():
-            key = tuple(x for i, x in enumerate(exps) if i != var)
-            collected[key] = collected.get(key, Fraction(0)) + c
-        return LaurentPoly(collected, self.nvars - 1)
+            return self.eval_ones()
+        collected = collect((e[:var] + e[var + 1 :], c) for e, c in self.terms.items())
+        return LaurentPoly._of(collected, self.nvars - 1)
 
     def diagonal(self):
         """Set all variables equal, returning a one-variable polynomial in the
         total exponent (tL = tR = t)."""
-        collected = {}
-        for exps, c in self.terms.items():
-            key = (sum(exps),)
-            collected[key] = collected.get(key, Fraction(0)) + c
-        return LaurentPoly(collected, 1)
+        return LaurentPoly._of(collect(((sum(e),), c) for e, c in self.terms.items()), 1)
 
     def eval_ones(self):
         """Evaluate every variable at 1."""
