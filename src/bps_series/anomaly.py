@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from .laurent import collect, mul_terms
+from .laurent import coefficient, collect, mul_terms
 from .modular import eisenstein, zeta_even_ratio
 from .qseries import QSeries, eta_product, euler_int_layers
 
@@ -63,7 +63,7 @@ class GradedPoly:
                 raise WeightMismatch(
                     f"monomial {key} has weight {2*a + 4*b + 6*c}, declared {weight}"
                 )
-            pairs.append((key, Fraction(coeff)))
+            pairs.append((key, coefficient(coeff, key)))
         self.monomials = collect(pairs)
 
     @classmethod
@@ -138,13 +138,17 @@ class GradedPoly:
         return f"GradedPoly(weight={self.weight}, {' + '.join(parts)})"
 
 
+def _check_degree_genus(n, g):
+    if n < 1 or g < 0:
+        raise ValueError(f"need n >= 1 and g >= 0, got n={n}, g={g}")
+
+
 class ZFunction:
     """One generating function: fiber degree n >= 1, genus g >= 0, and the
     weight-(2g+6n-2) numerator polynomial."""
 
     def __init__(self, n, g, poly):
-        if n < 1 or g < 0:
-            raise ValueError(f"need n >= 1 and g >= 0, got n={n}, g={g}")
+        _check_degree_genus(n, g)
         expected = 2 * g + 6 * n - 2
         if poly.monomials and poly.weight != expected:
             raise WeightMismatch(
@@ -278,8 +282,10 @@ def solve_anomaly(n, g, known, boundary_q_coeffs):
 
     boundary_q_coeffs lists the leading q-coefficients of the realized
     Z_{g;n}; at least as many as there are weight-(2g+6n-2) monomials in
-    E4, E6 alone.  Returns the unique matching GradedPoly.
+    E4, E6 alone.  Returns the unique matching GradedPoly; n < 1 or g < 0
+    raises ValueError.
     """
+    _check_degree_genus(n, g)
     weight = 2 * g + 6 * n - 2
     particular = integrate_e2(anomaly_rhs(n, g, known))
     basis = [

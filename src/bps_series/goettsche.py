@@ -75,16 +75,13 @@ class BettiVector:
 
 
 class GradedCharacter:
-    """A weight-graded character with a super-parity per monomial.
+    """A weight-graded character: poly is a LaurentPoly whose coefficients
+    are the dimensions of its weight spaces.  The super-parity of a monomial
+    is its total weight mod 2 (its cohomological degree mod 2 on an
+    even-dimensional variety)."""
 
-    poly: LaurentPoly whose coefficients are dimensions of weight spaces;
-    parity: callable on exponent tuples giving cohomological degree mod 2
-    (default: total weight mod 2, correct for even-dimensional varieties).
-    """
-
-    def __init__(self, poly, parity=None):
+    def __init__(self, poly):
         self.poly = poly
-        self.parity = parity if parity is not None else (lambda exps: sum(exps) % 2)
 
     def __repr__(self):
         return f"GradedCharacter({self.poly!r})"
@@ -186,9 +183,9 @@ def refined_goettsche_res(g_max):
 def sym_power_series(c, n_max):
     """sum_n char(Sym^n V) q^n for a graded super vector space V.
 
-    Each even-parity monomial m with dimension kappa contributes a factor
-    (1 - m q)^(-kappa); each odd-parity monomial contributes (1 + m q)^kappa
-    (its symmetric algebra is exterior).
+    A monomial m of dimension kappa is even when its total weight is even
+    and contributes (1 - m q)^(-kappa); an odd one contributes
+    (1 + m q)^kappa (its symmetric algebra is exterior).
     """
     nvars = c.poly.nvars
     result = QSeries([LaurentPoly.const(1, nvars)], n_max)
@@ -196,7 +193,7 @@ def sym_power_series(c, n_max):
         if coeff.denominator != 1:
             raise ValueError(f"weight-space dimension {coeff} is not an integer")
         kappa = int(coeff)
-        if c.parity(exps) % 2 == 0:
+        if sum(exps) % 2 == 0:
             sign, exponent = -1, -kappa
         else:
             sign, exponent = 1, kappa

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain
 from math import factorial
 
-from .laurent import collect
+from .laurent import coefficient, collect
 
 GW = "gw"
 BPS = "bps"
@@ -66,9 +66,8 @@ class LambdaSeries:
         for e, c in (coeffs or {}).items():
             if e < -2 or e % 2:
                 raise ValueError(f"lambda exponent {e} out of range")
-            if e <= order:
-                pairs.append((e, Fraction(c)))
-        self.coeffs = collect(pairs)
+            pairs.append((e, coefficient(c, e)))
+        self.coeffs = collect((e, c) for e, c in pairs if e <= order)
 
     def __getitem__(self, e):
         return self.coeffs.get(e, Fraction(0))

@@ -5,6 +5,9 @@ variable prints as t and two variables print as tL, tR.  The exponent of a
 variable encodes twice the Lefschetz weight 2H, so spin-m weight spaces sit at
 integer exponents even for half-integer m.  Zero coefficients are never
 stored.
+
+The module also holds the sparse-term core (coefficient, collect, mul_terms)
+that LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries share.
 """
 
 from __future__ import annotations
@@ -18,9 +21,18 @@ _VAR_NAMES = {1: ("t",), 2: ("tL", "tR")}
 
 # -- the sparse-term core ------------------------------------------------------
 # A term dict maps a key (an exponent tuple, or an int) to a nonzero exact
-# coefficient.  LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries
-# store their terms this way and do all merging and multiplying through the
-# functions below.
+# coefficient.  The shared classes do all merging and multiplying of term
+# dicts through collect and mul_terms.  The core is module functions, not a
+# base class: bench/layers.py counts LaurentPoly methods as the laurent
+# layer, which the anomaly and transform workloads must not enter.
+
+
+def coefficient(c, key):
+    """c as a Fraction; an int or a Fraction passes, anything else (a float
+    above all) raises ValueError naming key."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise ValueError(f"coefficient at {key}: {type(c).__name__} {c!r} is not an int or a Fraction")
 
 
 def collect(pairs):
@@ -51,7 +63,7 @@ class LaurentPoly:
             exps = (exps,) if isinstance(exps, int) else tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent {exps} has wrong arity for {nvars} vars")
-            pairs.append((exps, Fraction(c)))
+            pairs.append((exps, coefficient(c, exps)))
         self.terms = collect(pairs)
 
     @classmethod
@@ -66,13 +78,13 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value, nvars=1):
-        return cls({(0,) * nvars: Fraction(value)}, nvars)
+        return cls({(0,) * nvars: value}, nvars)
 
     @classmethod
     def var(cls, index=0, nvars=1, power=1, coeff=1):
         exps = [0] * nvars
         exps[index] = power
-        return cls({tuple(exps): Fraction(coeff)}, nvars)
+        return cls({tuple(exps): coeff}, nvars)
 
     # -- basics ------------------------------------------------------------
 
@@ -145,9 +157,6 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,9 +4,9 @@ Rationals cross the wire as exact "p/q" strings (never floats); every emitter
 sorts its keys so repeated runs produce byte-identical output.  The decoders
 of CLI inputs (tables, numerator polynomials, Z-function lists) are strict:
 a rational is a JSON int or a "p/q" string, a count is a JSON int, and any
-other value or a missing key raises SchemaError naming its JSON path.  A
-table's counts are >= 0, and its entries are checked one by one (integral in
-a bps table, no duplicate, inside the window and the cone) with their path.
+other value or a missing key raises SchemaError naming its JSON path.  Counts
+are >= 0.  A table's entries, a numerator's monomials and a Z-function
+list's items are checked one by one with their path, duplicates included.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ def _list(v, where):
     return v
 
 
-def _ints(v, where):
-    return [_int(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where))]
-
-
 def _count(v, where):
     """A JSON int >= 0."""
     if _int(v, where) < 0:
@@ -78,6 +74,13 @@ def _kind(v, where):
     if v not in (GW, BPS):
         raise SchemaError(f"{where}: {v!r} is not {GW!r} or {BPS!r}")
     return v
+
+
+def _no_duplicate(seen, key, where):
+    """Record that key appears at where; a second appearance raises SchemaError."""
+    if key in seen:
+        raise SchemaError(f"{where}: duplicate of {seen[key]}")
+    seen[key] = where
 
 
 def _join(path, key):
@@ -158,9 +161,7 @@ def table_from_json(d):
         where = f"entries[{i}]"
         key = (_get(e, where, "genus", _count), tuple(_get(e, where, "class", _counts)))
         value = _get(e, where, "value", rational)
-        if key in seen:
-            raise SchemaError(f"{where}: duplicate of entries[{seen[key]}]")
-        seen[key] = i
+        _no_duplicate(seen, key, where)
         if kind == BPS and value.denominator != 1:
             raise SchemaError(f"{where}.value: {value} is not an integer in a bps table")
         try:
@@ -181,12 +182,22 @@ def poly_to_json(p):
 
 
 def poly_from_json(d, path=""):
-    monomials = {}
+    """A GradedPoly; a fault of the document or of one monomial (a bad count,
+    a weight off the declared one, a repeated monomial) raises SchemaError
+    naming its path."""
+    weight = _get(d, path, "weight", _count)
+    poly = GradedPoly(weight)
+    seen = {}
     for i, m in enumerate(_get(d, path, "monomials", _list)):
         where = f"{_join(path, 'monomials')}[{i}]"
-        key = tuple(_get(m, where, e, _int) for e in ("e2", "e4", "e6"))
-        monomials[key] = _get(m, where, "coeff", rational)
-    return GradedPoly(_get(d, path, "weight", _int), monomials)
+        key = tuple(_get(m, where, e, _count) for e in ("e2", "e4", "e6"))
+        coeff = _get(m, where, "coeff", rational)
+        _no_duplicate(seen, key, where)
+        try:
+            poly = poly + GradedPoly(weight, {key: coeff})
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    return poly
 
 
 def zfunctions_to_json(zfs):
@@ -197,11 +208,17 @@ def zfunctions_to_json(zfs):
 
 
 def zfunctions_from_json(items):
-    return [
-        ZFunction(
-            _get(d, f"[{i}]", "n", _int),
-            _get(d, f"[{i}]", "g", _int),
-            _get(d, f"[{i}]", "poly", poly_from_json),
-        )
-        for i, d in enumerate(_list(items, "document"))
-    ]
+    """ZFunctions; a fault of one item (a bad count, n < 1, a weight that
+    does not fit (n, g), a repeated (n, g)) raises SchemaError naming [i]."""
+    zfs = []
+    seen = {}
+    for i, d in enumerate(_list(items, "document")):
+        where = f"[{i}]"
+        n, g = _get(d, where, "n", _count), _get(d, where, "g", _count)
+        poly = _get(d, where, "poly", poly_from_json)
+        _no_duplicate(seen, (n, g), where)
+        try:
+            zfs.append(ZFunction(n, g, poly))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    return zfs

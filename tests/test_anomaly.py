@@ -80,6 +80,25 @@ def test_d_e2_frozen_example():
     assert d_E2(p) == GradedPoly(6, {(1, 1, 0): Fraction(1, 144)})
 
 
+@given(
+    st.sampled_from([0, 2, 4, 6, 8]).flatmap(lambda w: st.tuples(*[graded_polys(w)] * 2)),
+    st.sampled_from([0, 2, 4, 6]).flatmap(graded_polys),
+    st.sampled_from([2, 4, 6]).flatmap(graded_polys),
+)
+def test_graded_ring_axioms(same_weight, c, d):
+    a, b = same_weight
+    assert c * (a + b) == c * a + c * b
+    assert (a * c) * d == a * (c * d)
+    assert a + b == b + a
+    assert not (a - a) and (a - a).monomials == {}
+    product = a * c
+    assert not product or product.weight == a.weight + c.weight
+    assert all(2 * x + 4 * y + 6 * z == product.weight for x, y, z in product.monomials)
+    if c and d and c.weight != d.weight:
+        with pytest.raises(WeightMismatch):
+            c + d
+
+
 @given(st.sampled_from([4, 6, 8, 10, 12]).flatmap(graded_polys))
 def test_integrate_then_differentiate(p):
     assert d_E2(integrate_e2(p)) == p

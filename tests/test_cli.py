@@ -155,6 +155,18 @@ def test_anomaly_solve_command(tmp_path):
     assert serialize.poly_from_json(json.loads(text)) == norm[(2, 1)]
 
 
+@pytest.mark.parametrize(
+    "n, g, boundary", [("-1", "0", "0"), ("1", "-3", "0"), ("0", "0", "1,2,3")]
+)
+def test_anomaly_solve_refuses_bad_degree_or_genus(tmp_path, capsys, n, g, boundary):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    argv = ["anomaly-solve", "--n", n, "--g", g, "--table", str(path), "--boundary", boundary]
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: need n >= 1 and g >= 0, got n={n}, g={g}\n"
+
+
 def test_genus_series_tsv(tmp_path):
     code, text = run(
         tmp_path, "genus-series", "--gmax", "1", "--q-order", "2", "--format", "tsv"

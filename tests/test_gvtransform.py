@@ -11,6 +11,7 @@ import oracles
 from bps_series.gvtransform import (
     InsufficientTruncation,
     InvariantTable,
+    LambdaSeries,
     NonIntegralBPS,
     gv_from_gw,
     gw_from_gv,
@@ -105,6 +106,18 @@ def test_sin_power_validation():
         sin_power_series(1, 1, 4)
     with pytest.raises(ValueError):
         sin_power_series(1, -4, 4)
+
+
+def test_lambda_series_sum_keeps_the_smaller_order():
+    a = LambdaSeries({-2: 1, 0: Fraction(1, 2), 2: 3, 6: 5}, order=6)
+    b = LambdaSeries({0: Fraction(-1, 2), 2: 1, 4: 7}, order=4)
+    for total in (a + b, b + a):
+        assert total.order == 4
+        # lam^0 cancels and lam^6 lies above the smaller order
+        assert total.coeffs == {-2: 1, 2: 4, 4: 7}
+    assert (a + LambdaSeries({-2: -1, 2: -3}, order=2)).coeffs == {0: Fraction(1, 2)}
+    with pytest.raises(ValueError, match="float"):
+        LambdaSeries({6: 0.5}, order=4)  # refused even above the order
 
 
 def test_table_validation():

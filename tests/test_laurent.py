@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bps_series.anomaly import GradedPoly
+from bps_series.gvtransform import LambdaSeries
 from bps_series.laurent import LaurentPoly
 
 
@@ -97,3 +100,22 @@ def test_embed_then_project_round_trips(p):
 def test_integer_coefficient_check():
     assert LaurentPoly({(0,): 2}, nvars=1).has_integer_coeffs()
     assert not LaurentPoly({(0,): Fraction(1, 2)}, nvars=1).has_integer_coeffs()
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda x: LaurentPoly({(0,): x}, nvars=1), "(0,)"),
+        (lambda x: LaurentPoly.const(x, nvars=2), "(0, 0)"),
+        (lambda x: GradedPoly(4, {(0, 1, 0): x}), "(0, 1, 0)"),
+        (lambda x: LambdaSeries({0: x}, 4), "0"),
+    ],
+)
+def test_constructors_refuse_floats(build, key):
+    # the shared core stores exact coefficients: int and Fraction pass
+    for exact in (3, Fraction(1, 4)):
+        (stored,) = next(v for v in vars(build(exact)).values() if isinstance(v, dict)).values()
+        assert type(stored) is Fraction and stored == exact
+    for bad in (0.1, 0.25, 1.0):
+        with pytest.raises(ValueError, match=rf"^coefficient at {re.escape(key)}: float "):
+            build(bad)

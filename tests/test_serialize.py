@@ -181,3 +181,42 @@ def test_table_faults_name_their_path(kind, change, message):
     with pytest.raises(SchemaError) as info:
         table_from_json(doc)
     assert str(info.value) == message
+
+
+def _monomial(d, i, j):
+    return d[i]["poly"]["monomials"][j]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d[0].update(n=0), "[0]: need n >= 1 and g >= 0, got n=0, g=0"),
+        (lambda d: d[1].update(n=-1), "[1].n: -1 is negative"),
+        (lambda d: d[2].update(g=-2), "[2].g: -2 is negative"),
+        (lambda d: d[3]["poly"].update(weight=-2), "[3].poly.weight: -2 is negative"),
+        (lambda d: _monomial(d, 0, 0).update(e2=-1), "[0].poly.monomials[0].e2: -1 is negative"),
+        (lambda d: _monomial(d, 2, 1).update(e6=1.0),
+         "[2].poly.monomials[1].e6: float not allowed"),
+        (lambda d: d[0]["poly"]["monomials"].append({"e2": 1, "e4": 0, "e6": 0, "coeff": "1"}),
+         "[0].poly.monomials[1]: monomial (1, 0, 0) has weight 2, declared 4"),
+        (lambda d: d[1].update(poly=d[0]["poly"]),
+         "[1]: (n=1, g=1) needs weight 6, got 4"),
+        (lambda d: d[2]["poly"]["monomials"].append(dict(_monomial(d, 2, 0), coeff="3")),
+         "[2].poly.monomials[2]: duplicate of [2].poly.monomials[0]"),
+        (lambda d: d.append(json.loads(json.dumps(d[5]))), "[8]: duplicate of [5]"),
+    ],
+)
+def test_zfunction_faults_name_their_path(change, message):
+    doc = zfunctions_to_json(reference_solutions())
+    change(doc)
+    with pytest.raises(SchemaError) as info:
+        zfunctions_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_numerator_faults_name_their_path():
+    monomial = {"e2": 0, "e4": 1, "e6": 0, "coeff": "1"}
+    with pytest.raises(SchemaError, match=r"^monomials\[1\]: duplicate of monomials\[0\]$"):
+        poly_from_json({"weight": 4, "monomials": [monomial, monomial]})
+    with pytest.raises(SchemaError, match=r"^weight: -4 is negative$"):
+        poly_from_json({"weight": -4, "monomials": []})
