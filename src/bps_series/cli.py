@@ -328,10 +328,23 @@ def build_parser():
     return parser
 
 
+def _glue_boundary(argv):
+    """argparse takes a value such as "-1,0" for an option because it starts
+    with "-" and is not a plain number; glue it to a preceding --boundary so
+    that "--boundary -1,0" parses as "--boundary=-1,0"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--boundary" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--boundary={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_boundary(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -301,11 +301,9 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
             for g, (scale, c) in enumerate(zip(_multicover_scales(k, max_genus + 1), s)):
                 if c:
                     t[g] += scale * c
+    # every (g, k beta) lies in the window: write the entries unchecked
     gw = InvariantTable(GW, bps.rank, bps.degree_weights, max_genus, degree_order)
-    for beta, t in acc.items():
-        for g, c in enumerate(t):
-            if c:
-                gw.set(g, beta, c)
+    gw.entries = {(g, beta): c for beta, t in acc.items() for g, c in enumerate(t) if c}
     return gw
 
 
@@ -333,8 +331,11 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
     rows = _kernel_rows(h_max, lambda_order)
     bps = InvariantTable(BPS, gw.rank, gw.degree_weights, h_max, degree_order)
     solved = {}  # class -> its genus vector before peeling
+    # the window check above covers every (g, beta) read and written below,
+    # so the loop reads and writes the entries directly
+    zero = Fraction(0)
     for beta in iter_classes(gw.rank, gw.degree_weights, degree_order):
-        r = [gw.get(g, beta) for g in range(h_max + 1)]
+        r = [gw.entries.get((g, beta), zero) for g in range(h_max + 1)]
         # remove multicovers k >= 2 of strictly smaller classes
         for k in range(2, max(beta) + 1):
             source = _divide_class(beta, k)
@@ -348,7 +349,7 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
                 continue
             if c.denominator != 1:
                 raise NonIntegralBPS(beta, h, c)
-            bps.set(h, beta, int(c))
+            bps.entries[(h, beta)] = int(c)
             r = r[:h] + [a - c * b for a, b in zip(r[h:], row[h:])]
         if any(r):
             residual = {2 * g - 2: c for g, c in enumerate(r)}

@@ -193,10 +193,6 @@ class LaurentPoly:
 
     # -- structure queries ---------------------------------------------------
 
-    def max_exp(self, var=0):
-        """Largest exponent of the given variable (polynomial must be nonzero)."""
-        return max(e[var] for e in self.terms)
-
     def flip(self, var=0):
         """Substitute x_var -> x_var^(-1)."""
         flipped = {
@@ -210,21 +206,6 @@ class LaurentPoly:
 
     def has_integer_coeffs(self):
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def coeff_of_var_power(self, var, power):
-        """Collect the coefficient of x_var^power as a polynomial in the others.
-
-        With one variable the result is a Fraction; with two it is a one-variable
-        LaurentPoly in the remaining variable.
-        """
-        if self.nvars == 1:
-            return self.coeff((power,))
-        rest = {}
-        for exps, c in self.terms.items():
-            if exps[var] == power:
-                key = tuple(x for i, x in enumerate(exps) if i != var)
-                rest[key] = c
-        return LaurentPoly(rest, self.nvars - 1)
 
     def subs_one(self, var):
         """Set x_var = 1, returning a polynomial in the remaining variables

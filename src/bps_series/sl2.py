@@ -36,12 +36,15 @@ class RouteDisagreement(ArithmeticError):
         self.via_u = via_u
 
 
-def _check_decomposable(p, what="polynomial"):
+def _check_decomposable(p, nvars, caller):
+    """Refuse what no peel decomposes, naming the public caller."""
+    if p.nvars != nvars:
+        raise ValueError(f"{caller} expects a polynomial in {nvars} variable(s), got {p.nvars}")
     if not p.has_integer_coeffs():
-        raise NonIntegerCoefficient(f"{what} has non-integer coefficients: {p!r}")
-    for var in range(p.nvars):
+        raise NonIntegerCoefficient(f"{caller}: non-integer coefficients in {p!r}")
+    for var in range(nvars):
         if not p.is_symmetric(var):
-            raise NotSymmetric(f"{what} not symmetric in variable {var}: {p!r}")
+            raise NotSymmetric(f"{caller}: not symmetric in variable {var}: {p!r}")
 
 
 def spin_char(two_j):
@@ -67,24 +70,45 @@ def i_basis_char(h):
     return base**h
 
 
-def _peel_top(p, char_of_level, what):
-    """{level: n} with p == sum n * char_of_level(level), for a symmetric
-    one-variable p with integer coefficients (what names p in errors).
+def _slices(p):
+    """The tL-slices {e: coefficient of tL^e} of p: an int for one variable,
+    a one-variable LaurentPoly in tR for two."""
+    if p.nvars == 1:
+        return {e: int(c) for (e,), c in p.terms.items()}
+    rows = {}
+    for (el, er), c in p.terms.items():
+        rows.setdefault(el, {})[(er,)] = c
+    return {e: LaurentPoly._of(row, 1) for e, row in rows.items()}
 
-    char_of_level(m) must have top term (-1)^m t^m; peels from the top
-    exponent downward, which is triangular and stays in integers.
+
+def _peel(p, char_of_level):
+    """{level: r} with p == sum char_of_level(level)(tL) * r, for a symmetric
+    p with integer coefficients; r is an int for one variable and a
+    one-variable LaurentPoly in tR for two.
+
+    char_of_level(m) must have top term (-1)^m t^m.  Each step pops the top
+    tL-slice c, records r = (-1)^top c and subtracts a * r from the slice at
+    every other exponent e of char_of_level(top), a its coefficient there;
+    the top exponent strictly falls, and all of it stays in integers.
     """
-    _check_decomposable(p, what)
+    rest = _slices(p)
     out = {}
-    rest = p
     while rest:
-        top = rest.max_exp(0)
+        top = max(rest)
         if top < 0:
-            raise NotSymmetric(f"residual has only negative exponents: {rest!r}")
-        c = rest.coeff((top,))
-        m = int(c) if top % 2 == 0 else -int(c)
-        out[top] = m
-        rest = rest - m * char_of_level(top)
+            raise NotSymmetric(f"peeling left only negative tL exponents: {p!r}")
+        c = rest.pop(top)
+        r = c if top % 2 == 0 else -c
+        out[top] = r
+        for (e,), a in char_of_level(top).terms.items():
+            if e != top:
+                s = r * -int(a)
+                if e in rest:
+                    s = rest[e] + s
+                if s:
+                    rest[e] = s
+                else:
+                    del rest[e]
     return out
 
 
@@ -94,7 +118,8 @@ def decompose_spins(p):
     Peels from the top exponent downward; requires p symmetric with integer
     coefficients.
     """
-    return _peel_top(p, spin_char, "polynomial")
+    _check_decomposable(p, 1, "decompose_spins")
+    return _peel(p, spin_char)
 
 
 def spin_to_I_basis(decomp):
@@ -107,35 +132,15 @@ def spin_to_I_basis(decomp):
     return u_expand(signed_char(decomp))
 
 
-def _peel_left(p, char_of_level):
-    """Write a two-variable p as sum over levels of char_of_level(m)(tL) * r_m(tR).
-
-    char_of_level(m) must be a one-variable polynomial with top term
-    (+-1) t^m; returns {m: r_m} with r_m one-variable in tR.
-    """
-    rest = p
-    layers = {}
-    while rest:
-        top = rest.max_exp(0)
-        c = rest.coeff_of_var_power(0, top)  # LaurentPoly in tR
-        lead = char_of_level(top).coeff((top,))
-        r = c if lead == 1 else -c
-        layers[top] = layers.get(top, LaurentPoly(nvars=1)) + r
-        rest = rest - char_of_level(top).embed(2, 0) * r.embed(2, 1)
-    return {m: r for m, r in layers.items() if r}
-
-
 def bi_decompose(p):
     """Virtual bi-spin multiplicities {(2jL, 2jR): m} reproducing p.
 
     Decomposes in tL first (with tR-polynomial coefficients), then decomposes
     each layer in tR.
     """
-    if p.nvars != 2:
-        raise ValueError("bi_decompose expects a two-variable polynomial")
-    _check_decomposable(p)
+    _check_decomposable(p, 2, "bi_decompose")
     out = {}
-    for two_jl, layer in _peel_left(p, spin_char).items():
+    for two_jl, layer in _peel(p, spin_char).items():
         for two_jr, m in decompose_spins(layer).items():
             out[(two_jl, two_jr)] = m
     return out
@@ -144,12 +149,8 @@ def bi_decompose(p):
 def i_basis_layers(p):
     """Write a bigraded signed character as sum_h char(I_h)(tL) * char(R_h)(tR)
     and decompose each right factor into spins: {h: {2j: multiplicity}}."""
-    if p.nvars != 2:
-        raise ValueError("i_basis_layers expects a two-variable polynomial")
-    _check_decomposable(p)
-    return {
-        h: decompose_spins(r) for h, r in _peel_left(p, i_basis_char).items()
-    }
+    _check_decomposable(p, 2, "i_basis_layers")
+    return {h: decompose_spins(r) for h, r in _peel(p, i_basis_char).items()}
 
 
 def bps_from_character(p):
@@ -160,12 +161,10 @@ def bps_from_character(p):
     tL, then evaluate each r_h at tR = 1; (b) set tR = 1 first and expand the
     result in powers of u = 2 - tL - tL^(-1).
     """
-    if p.nvars != 2:
-        raise ValueError("bps_from_character expects a two-variable polynomial")
-    _check_decomposable(p)
+    _check_decomposable(p, 2, "bps_from_character")
 
     via_layers = {}
-    for h, r in _peel_left(p, i_basis_char).items():
+    for h, r in _peel(p, i_basis_char).items():
         n = r.eval_ones()
         if n.denominator != 1:
             raise NonIntegerCoefficient(f"n_{h} = {n} is not an integer")
@@ -182,4 +181,5 @@ def bps_from_character(p):
 def u_expand(w):
     """Expand a symmetric one-variable Laurent polynomial in powers of
     u = 2 - t - t^(-1): returns {h: integer} with w == sum n_h * u^h."""
-    return _peel_top(w, i_basis_char, "u-expansion input")
+    _check_decomposable(w, 1, "u_expand")
+    return _peel(w, i_basis_char)

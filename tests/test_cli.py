@@ -167,6 +167,32 @@ def test_anomaly_solve_refuses_bad_degree_or_genus(tmp_path, capsys, n, g, bound
     assert capsys.readouterr().err == f"error: need n >= 1 and g >= 0, got n={n}, g={g}\n"
 
 
+def test_negative_boundary_parses_with_or_without_equals(tmp_path, capsys):
+    import bps_series
+
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(serialize.zfunctions_to_json(bps_series.reference_solutions())))
+    argv = ["anomaly-solve", "--n", "1", "--g", "0", "--table", str(path)]
+    spaced = run(tmp_path, *argv, "--boundary", "-1,-252")
+    assert spaced == run(tmp_path, *argv, "--boundary=-1,-252") and spaced[0] == 0
+    assert capsys.readouterr().err == ""
+    assert serialize.poly_from_json(json.loads(spaced[1])) == -bps_series.GradedPoly.e4()
+    # a value that fits no solution exits 1 either way
+    assert run(tmp_path, *argv, "--boundary", "-1,0") == run(tmp_path, *argv, "--boundary=-1,0")
+    assert run(tmp_path, *argv, "--boundary", "-1,0")[0] == 1
+
+
+def test_missing_boundary_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, text = run(tmp_path, "anomaly-solve", "--n", "1", "--g", "0", "--table", str(path), "--boundary")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and "--boundary" in lines[0], err
+    assert "Traceback" not in err
+
+
 def test_genus_series_tsv(tmp_path):
     code, text = run(
         tmp_path, "genus-series", "--gmax", "1", "--q-order", "2", "--format", "tsv"

@@ -153,7 +153,9 @@ def zfunction_runs(draw, command):
     weight = 2 * target.g + 6 * target.n - 2
     unknowns = sum(1 for c in range(weight // 6 + 1) if (weight - 6 * c) % 4 == 0)
     boundary = ",".join(str(draw(st.integers(-9, 9))) for _ in range(unknowns))
-    argv = ["anomaly-solve", "--n", str(target.n), "--g", str(target.g), f"--boundary={boundary}"]
+    # "--boundary -1,0" and "--boundary=-1,0" must parse alike
+    flag = ["--boundary", boundary] if draw(st.booleans()) else [f"--boundary={boundary}"]
+    argv = ["anomaly-solve", "--n", str(target.n), "--g", str(target.g), *flag]
     return [*argv, "--table"], doc
 
 

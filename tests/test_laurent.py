@@ -73,14 +73,6 @@ def test_flip_and_symmetry():
     assert t.flip() == t.inverse()
 
 
-def test_coeff_of_var_power():
-    tl = LaurentPoly.var(0, nvars=2)
-    tr = LaurentPoly.var(1, nvars=2)
-    p = tl * tr + tl * tr.inverse() + LaurentPoly.const(5, nvars=2)
-    layer = p.coeff_of_var_power(0, 1)
-    assert layer == LaurentPoly({(1,): 1, (-1,): 1}, nvars=1)
-
-
 def test_subs_one_and_diagonal_and_eval():
     tl = LaurentPoly.var(0, nvars=2)
     tr = LaurentPoly.var(1, nvars=2)

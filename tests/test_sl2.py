@@ -85,6 +85,15 @@ def test_decompose_rejects_fractional():
         decompose_spins(LaurentPoly({(0,): Fraction(1, 2)}, nvars=1))
 
 
+@pytest.mark.parametrize(
+    "decompose, nvars",
+    [(decompose_spins, 2), (u_expand, 2), (bi_decompose, 1), (i_basis_layers, 1), (bps_from_character, 1)],
+)
+def test_wrong_variable_count_is_refused(decompose, nvars):
+    with pytest.raises(ValueError, match="variable"):
+        decompose(LaurentPoly.const(1, nvars))
+
+
 @given(st.integers(min_value=0, max_value=8))
 def test_u_expand_on_i_basis_powers(h):
     assert u_expand(i_basis_char(h)) == {h: 1}
@@ -109,11 +118,12 @@ def bi_char(left_right):
     return total
 
 
+# virtual bi-spin multisets: multiplicities of either sign
 bi_multisets = st.dictionaries(
     st.tuples(
         st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)
     ),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-3, max_value=3).filter(bool),
     min_size=1,
     max_size=4,
 )
@@ -134,6 +144,15 @@ def test_bps_dual_routes_agree_on_characters(mult):
     # a nonzero entry is the largest 2jL present.
     if result:
         assert max(result) <= max(two_jl for two_jl, _ in mult)
+
+
+@given(bi_multisets)
+def test_i_basis_layers_round_trip(mult):
+    p = bi_char(mult)
+    total = LaurentPoly(nvars=2)
+    for h, layer in i_basis_layers(p).items():
+        total = total + i_basis_char(h).embed(2, 0) * signed_char(layer).embed(2, 1)
+    assert total == p
 
 
 def test_blowup_fixture_decomposition():
