@@ -88,9 +88,6 @@ class GradedPoly:
             return self.weight == other.weight and self.monomials == other.monomials
         return NotImplemented
 
-    def __hash__(self):
-        raise TypeError("GradedPoly is unhashable")
-
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented

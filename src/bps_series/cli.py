@@ -1,13 +1,20 @@
 """Batch command-line front end.
 
 Every computation is a subcommand with explicit truncation orders, JSON/TSV
-output, and deterministic bytes for a fixed invocation.  Exit codes: 0 on
-success, 1 when a mathematical verification fails (the output then carries a
-structured diff), 2 for usage, parse, or precondition errors.
+output, and deterministic bytes for a fixed invocation.
 
-Defaults: q-order 12, lambda-order 12, g_max 6, degree 6 (gv-from-gw derives
-its lambda-order from the input table's genus window instead, the largest it
-can support).
+`main` is the only code that turns a fault into an exit code, and every
+nonzero exit writes exactly one `error:` line to stderr:
+
+- 0: success;
+- 1: one of the paper's identities failed, as a check exception or a
+  not-ok report (see `_check_failure`); its JSON payload is the output;
+- 2: any other fault, argparse's usage faults included; no output.
+
+Defaults: q-order 12, lambda-order 12, g_max 6.  The transforms take the
+class-degree window of the input table unless --degree is given;
+gv-from-gw and roundtrip-check derive their lambda-order from its genus
+window.
 """
 
 from __future__ import annotations
@@ -22,7 +29,25 @@ from .modular import eisenstein
 DEFAULT_Q_ORDER = 12
 DEFAULT_LAMBDA_ORDER = 12
 DEFAULT_G_MAX = 6
-DEFAULT_DEGREE = 6
+
+
+class UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage faults instead of printing the usage text and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+class CheckFailed(Exception):
+    """A report command's check failed; payload is its exit-1 JSON."""
+
+    def __init__(self, message, payload):
+        super().__init__(message)
+        self.payload = payload
 
 
 def _emit(text, path):
@@ -33,8 +58,8 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _emit_json(obj, path):
-    _emit(json.dumps(obj, indent=2) + "\n", path)
+def _json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_json(path):
@@ -42,59 +67,42 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _emit_series(series, args):
-    if args.format == "tsv":
-        _emit(serialize.series_to_tsv(series), args.out)
-    else:
-        _emit_json(serialize.series_to_json(series), args.out)
+def _str_keys(d):
+    """{h: n_h} with string keys in increasing h, as JSON objects need."""
+    return {str(k): v for k, v in sorted(d.items())}
+
+
+def _series_text(series, fmt):
+    if fmt == "tsv":
+        return serialize.series_to_tsv(series)
+    return _json_text(serialize.series_to_json(series))
+
+
+def _report(payload, ok, failure):
+    """The output of a report command; a failed report raises CheckFailed."""
+    if not ok:
+        raise CheckFailed(failure, payload)
+    return _json_text(payload)
 
 
 def cmd_eisenstein(args):
-    _emit_series(eisenstein(args.weight, args.order), args)
-    return 0
+    return _series_text(eisenstein(args.weight, args.order), args.format)
 
 
 def cmd_goettsche(args):
-    if args.refined and args.betti:
-        print("error: --refined and --betti are mutually exclusive", file=sys.stderr)
-        return 2
     if args.refined:
         series = goettsche.refined_goettsche_res(args.gmax)
-    elif args.betti:
-        b = goettsche.BettiVector(*(int(x) for x in args.betti.split(",")))
-        series = goettsche.goettsche_series(b, args.gmax)
     else:
-        print("error: need --betti b0,b1,b2,b3,b4 or --refined", file=sys.stderr)
-        return 2
-    _emit_series(series, args)
-    return 0
+        series = goettsche.goettsche_series(goettsche.BettiVector(*args.betti), args.gmax)
+    return _series_text(series, args.format)
 
 
 def cmd_bps_rational_elliptic(args):
-    try:
-        table = goettsche.bps_rational_elliptic(args.gmax)
-    except goettsche.MismatchAgainstProduct as exc:
-        _emit_json(
-            {
-                "ok": False,
-                "error": "character route and product u-expansion disagree",
-                "diffs": [
-                    {
-                        "g": g,
-                        "via_character": {str(h): n for h, n in sorted(vc.items())},
-                        "via_product": {str(h): n for h, n in sorted(vu.items())},
-                    }
-                    for g, vc, vu in exc.diffs
-                ],
-            },
-            args.out,
-        )
-        return 1
+    table = goettsche.bps_rational_elliptic(args.gmax)
     lines = [f"# convention: {goettsche.SIGN_CONVENTION}", "# g\th\tn_h"]
     for (g, h), n in sorted(table.items()):
         lines.append(f"{g}\t{h}\t{n}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def cmd_gv_from_gw(args):
@@ -102,50 +110,27 @@ def cmd_gv_from_gw(args):
     lambda_order = args.lambda_order
     if lambda_order is None:
         lambda_order = 2 * gw.max_genus - 2
-    try:
-        bps = gvtransform.gv_from_gw(gw, lambda_order, args.degree)
-    except gvtransform.NonIntegralBPS as exc:
-        _emit_json(
-            {
-                "ok": False,
-                "error": "non-integral BPS invariant",
-                "class": list(exc.cls),
-                "h": exc.h,
-                "value": serialize.frac_str(exc.value),
-            },
-            args.out,
-        )
-        return 1
-    _emit_json(serialize.table_to_json(bps), args.out)
-    return 0
+    bps = gvtransform.gv_from_gw(gw, lambda_order, args.degree)
+    return _json_text(serialize.table_to_json(bps))
 
 
 def cmd_gw_from_gv(args):
     bps = serialize.table_from_json(_load_json(args.infile))
     gw = gvtransform.gw_from_gv(bps, args.lambda_order, args.degree)
-    _emit_json(serialize.table_to_json(gw), args.out)
-    return 0
+    return _json_text(serialize.table_to_json(gw))
 
 
 def cmd_roundtrip_check(args):
     bps = serialize.table_from_json(_load_json(args.infile))
     ok, diffs = gvtransform.roundtrip_check(bps, args.lambda_order, args.degree)
-    _emit_json(
-        {
-            "ok": ok,
-            "diffs": [
-                {
-                    "h": h,
-                    "class": list(cls),
-                    "expected": expected,
-                    "got": got,
-                }
-                for h, cls, expected, got in diffs
-            ],
-        },
-        args.out,
-    )
-    return 0 if ok else 1
+    payload = {
+        "ok": ok,
+        "diffs": [
+            {"h": h, "class": list(cls), "expected": expected, "got": got}
+            for h, cls, expected, got in diffs
+        ],
+    }
+    return _report(payload, ok, f"BPS -> GW -> BPS round trip changed {len(diffs)} value(s)")
 
 
 def _report_to_json(report):
@@ -177,8 +162,9 @@ def _report_to_json(report):
 def cmd_anomaly_verify(args):
     table = serialize.zfunctions_from_json(_load_json(args.table))
     report = anomaly.verify_anomaly(table)
-    _emit_json(_report_to_json(report), args.out)
-    return 0 if report["all_ok"] else 1
+    payload = _report_to_json(report)
+    failure = f"anomaly recursion holds on only {payload['passed']} entries"
+    return _report(payload, report["all_ok"], failure)
 
 
 def cmd_anomaly_solve(args):
@@ -188,13 +174,8 @@ def cmd_anomaly_solve(args):
         serialize.rational(x, f"--boundary[{i}]")
         for i, x in enumerate(args.boundary.split(","))
     ]
-    try:
-        poly = anomaly.solve_anomaly(args.n, args.g, known, boundary)
-    except anomaly.InconsistentBoundary as exc:
-        _emit_json({"ok": False, "error": str(exc)}, args.out)
-        return 1
-    _emit_json(serialize.poly_to_json(poly), args.out)
-    return 0
+    poly = anomaly.solve_anomaly(args.n, args.g, known, boundary)
+    return _json_text(serialize.poly_to_json(poly))
 
 
 def cmd_genus_series(args):
@@ -204,13 +185,8 @@ def cmd_genus_series(args):
         for g, series in enumerate(series_list):
             for i, c in enumerate(series.coeffs):
                 lines.append(f"{g}\t{i}\t{serialize.frac_str(c)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_json(
-            {"genus_series": [serialize.series_to_json(s) for s in series_list]},
-            args.out,
-        )
-    return 0
+        return "\n".join(lines) + "\n"
+    return _json_text({"genus_series": [serialize.series_to_json(s) for s in series_list]})
 
 
 def cmd_triple_product_check(args):
@@ -229,31 +205,61 @@ def cmd_triple_product_check(args):
             "lhs": serialize.frac_str(m["lhs"]),
             "rhs": serialize.frac_str(m["rhs"]),
         }
-    _emit_json(payload, args.out)
-    return 0 if report["ok"] else 1
+    return _report(payload, report["ok"], "triple product identity fails; see first_mismatch")
 
 
-def _check_failure_to_json(exc):
-    """Exit-1 payload of an internal cross-check that failed mid-command."""
+def _check_failure(exc):
+    """The exit-1 payload when exc is a failed identity check, else None."""
+    if isinstance(exc, CheckFailed):
+        return exc.payload
+    if isinstance(exc, goettsche.MismatchAgainstProduct):
+        return {
+            "ok": False,
+            "error": "character route and product u-expansion disagree",
+            "diffs": [
+                {"g": g, "via_character": _str_keys(vc), "via_product": _str_keys(vu)}
+                for g, vc, vu in exc.diffs
+            ],
+        }
     if isinstance(exc, sl2.RouteDisagreement):
         return {
             "ok": False,
             "error": "I-basis peeling and u-expansion disagree",
-            "via_character": {str(h): n for h, n in sorted(exc.via_character.items())},
-            "via_u": {str(h): n for h, n in sorted(exc.via_u.items())},
+            "via_character": _str_keys(exc.via_character),
+            "via_u": _str_keys(exc.via_u),
         }
-    return {
-        "ok": False,
-        "error": "peeling left a nonzero GW residual",
-        "class": list(exc.cls),
-        "residual": {
-            str(e): serialize.frac_str(c) for e, c in sorted(exc.residual.coeffs.items())
-        },
-    }
+    if isinstance(exc, gvtransform.NonIntegralBPS):
+        return {
+            "ok": False,
+            "error": "non-integral BPS invariant",
+            "class": list(exc.cls),
+            "h": exc.h,
+            "value": serialize.frac_str(exc.value),
+        }
+    if isinstance(exc, gvtransform.UnpeeledResidual):
+        return {
+            "ok": False,
+            "error": "peeling left a nonzero GW residual",
+            "class": list(exc.cls),
+            "residual": {
+                str(e): serialize.frac_str(c) for e, c in sorted(exc.residual.coeffs.items())
+            },
+        }
+    if isinstance(exc, anomaly.InconsistentBoundary):
+        return {"ok": False, "error": str(exc)}
+    return None
+
+
+def _betti(text):
+    """Type of --betti: five comma-separated integers b0,b1,b2,b3,b4."""
+    bs = text.split(",")
+    if len(bs) != 5 or not all(b.removeprefix("-").isdecimal() for b in bs):
+        raise argparse.ArgumentTypeError(f"need five integers b0,b1,b2,b3,b4, got {text!r}")
+    return tuple(int(b) for b in bs)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bps-series",
         description="Exact-arithmetic BPS / Gromov-Witten series toolkit",
     )
@@ -271,13 +277,14 @@ def build_parser():
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p = add("goettsche", cmd_goettsche, help="Hilbert scheme character series")
-    p.add_argument("--betti", help="b0,b1,b2,b3,b4 of the surface")
-    p.add_argument("--gmax", type=int, default=DEFAULT_G_MAX)
-    p.add_argument(
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--betti", type=_betti, help="b0,b1,b2,b3,b4 of the surface")
+    which.add_argument(
         "--refined",
         action="store_true",
         help="bigraded rational-elliptic-surface product instead of --betti",
     )
+    p.add_argument("--gmax", type=int, default=DEFAULT_G_MAX)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p = add(
@@ -342,20 +349,24 @@ def _glue_boundary(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
+    code, error = 0, None
     try:
-        args = parser.parse_args(_glue_boundary(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except (sl2.RouteDisagreement, gvtransform.UnpeeledResidual) as exc:
-        _emit_json(_check_failure_to_json(exc), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(_glue_boundary(sys.argv[1:] if argv is None else argv))
+        try:
+            text = args.func(args)
+        except Exception as exc:
+            payload = _check_failure(exc)
+            if payload is None:
+                raise
+            code, error, text = 1, exc, _json_text(payload)
+        _emit(text, args.out)
+    except SystemExit:  # --help has written the usage text
+        return 0
+    except Exception as exc:  # any other fault: no input may end in a traceback
+        code, error = 2, exc
+    if error is not None:
+        print("error:", " ".join(str(error).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -215,13 +215,6 @@ class InvariantTable:
             f"(max_genus={self.max_genus}, max_degree={self.max_degree})"
         )
 
-    def classes(self, max_degree=None):
-        """All nonzero classes of the cone with degree <= max_degree, ordered by
-        (degree, components)."""
-        if max_degree is None:
-            max_degree = self.max_degree
-        return iter_classes(self.rank, self.degree_weights, max_degree)
-
     def __eq__(self, other):
         return (
             isinstance(other, InvariantTable)
@@ -364,6 +357,8 @@ def roundtrip_check(bps, lambda_order=None, degree_order=None):
     """
     if lambda_order is None:
         lambda_order = 2 * bps.max_genus + 2
+    if degree_order is None:
+        degree_order = bps.max_degree
     _check_windows(lambda_order, degree_order)
     if lambda_order < 2 * bps.max_genus - 2:
         raise InsufficientTruncation(
@@ -373,9 +368,10 @@ def roundtrip_check(bps, lambda_order=None, degree_order=None):
     back = gv_from_gw(gw, lambda_order, degree_order)
     diffs = []
     h_window = min(bps.max_genus, back.max_genus)
-    for beta in bps.classes(degree_order):
+    # both tables are bps tables, so an absent entry is zero
+    for beta in iter_classes(bps.rank, bps.degree_weights, degree_order):
         for h in range(h_window + 1):
-            want, got = bps.get(h, beta), back.get(h, beta)
+            want, got = bps.entries.get((h, beta), 0), back.entries.get((h, beta), 0)
             if want != got:
                 diffs.append((h, beta, want, got))
     return not diffs, diffs

@@ -105,9 +105,6 @@ class LaurentPoly:
             return self.terms == {(0,) * self.nvars: Fraction(other)}
         return NotImplemented
 
-    def __hash__(self):
-        raise TypeError("LaurentPoly is unhashable")
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -109,9 +109,6 @@ class QSeries:
         # scalar: equal iff constant series with that constant term
         return self.coeffs[0] == other and not any(bool(c) for c in self.coeffs[1:])
 
-    def __hash__(self):
-        raise TypeError("QSeries is unhashable")
-
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
@@ -136,9 +133,6 @@ class QSeries:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not self.is_same_ring(other):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bps_series import cli, serialize
+from bps_series import anomaly, cli, goettsche, gvtransform, serialize
 from bps_series.gvtransform import InvariantTable, gw_from_gv
 from bps_series.modular import divisor_sigma
 
@@ -14,6 +14,14 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = cli.main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def one_error_line(capsys):
+    """The single stderr line of a nonzero exit, which must start with "error: ";
+    stdout stays empty (the tests give --out)."""
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), (out, err)
+    return err.rstrip("\n")
 
 
 def write_table(tmp_path, name, table):
@@ -104,6 +112,14 @@ def test_gv_from_gw_reports_non_integral(tmp_path):
     assert doc["class"] == [1] and doc["h"] == 0 and doc["value"] == "1/2"
 
 
+
+def test_non_integral_bps_prints_one_error_line(tmp_path, capsys):
+    gw = InvariantTable("gw", 1, (1,), 4, 4, {(0, (1,)): Fraction(1, 2)})
+    path = write_table(tmp_path, "gw.json", gw)
+    code, _ = run(tmp_path, "gv-from-gw", "--in", path, "--lambda-order", "6")
+    assert code == 1
+    assert one_error_line(capsys) == "error: n_0(1,) = 1/2 is not an integer"
+
 def test_roundtrip_check_command(tmp_path):
     bps = InvariantTable("bps", 2, (1, 1), 2, 3, {(0, (1, 1)): 4})
     path = write_table(tmp_path, "bps.json", bps)
@@ -187,10 +203,98 @@ def test_missing_boundary_value_exits_2(tmp_path, capsys):
     path.write_text("[]")
     code, text = run(tmp_path, "anomaly-solve", "--n", "1", "--g", "0", "--table", str(path), "--boundary")
     assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    lines = [line for line in err.splitlines() if "error:" in line]
-    assert len(lines) == 1 and "--boundary" in lines[0], err
-    assert "Traceback" not in err
+    assert "--boundary" in one_error_line(capsys)
+
+
+def write_reference_table(tmp_path):
+    import bps_series
+
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(serialize.zfunctions_to_json(bps_series.reference_solutions())))
+    return str(path)
+
+
+def test_product_route_mismatch_payload(tmp_path, monkeypatch, capsys):
+    real_u_expand = goettsche.u_expand
+    calls = []
+
+    def shifted(w):  # n_1 of the q^1 layer of the product route, plus one
+        calls.append(w)
+        return {h: n + (len(calls) == 2 and h == 1) for h, n in real_u_expand(w).items()}
+
+    monkeypatch.setattr(goettsche, "u_expand", shifted)
+    code, text = run(tmp_path, "bps-rational-elliptic", "--gmax", "2")
+    assert code == 1
+    assert json.loads(text) == {
+        "ok": False,
+        "error": "character route and product u-expansion disagree",
+        "diffs": [
+            {"g": 1, "via_character": {"0": 12, "1": -2}, "via_product": {"0": 12, "1": -1}}
+        ],
+    }
+    assert one_error_line(capsys).startswith(
+        "error: character route and product u-expansion disagree: q^1: "
+    )
+
+
+def test_inconsistent_boundary_payload(tmp_path, capsys):
+    argv = ["anomaly-solve", "--n", "1", "--g", "0", "--table", write_reference_table(tmp_path)]
+    code, text = run(tmp_path, *argv, "--boundary", "1,5,7")
+    assert code == 1
+    assert json.loads(text) == {
+        "ok": False,
+        "error": "boundary coefficients do not lie on any solution",
+    }
+    assert one_error_line(capsys) == "error: boundary coefficients do not lie on any solution"
+
+
+def test_roundtrip_difference_payload(tmp_path, monkeypatch, capsys):
+    real_gv_from_gw = gvtransform.gv_from_gw
+
+    def shifted(gw, lambda_order, degree_order=None):
+        back = real_gv_from_gw(gw, lambda_order, degree_order)
+        back.entries[(0, (1, 1))] += 1
+        return back
+
+    monkeypatch.setattr(gvtransform, "gv_from_gw", shifted)
+    bps = InvariantTable("bps", 2, (1, 1), 2, 3, {(0, (1, 1)): 4, (1, (0, 2)): -2})
+    code, text = run(tmp_path, "roundtrip-check", "--in", write_table(tmp_path, "bps.json", bps))
+    assert code == 1
+    assert json.loads(text) == {
+        "ok": False,
+        "diffs": [{"h": 0, "class": [1, 1], "expected": 4, "got": 5}],
+    }
+    assert one_error_line(capsys) == "error: BPS -> GW -> BPS round trip changed 1 value(s)"
+
+
+def test_triple_product_mismatch_payload(tmp_path, monkeypatch, capsys):
+    real_rhs = anomaly.triple_product_rhs
+
+    def shifted(lambda_order, q_order):  # the q^1 lam^2 coefficient, plus one
+        rhs = real_rhs(lambda_order, q_order)
+        rhs.coeffs[1].coeffs[2] += 1
+        return rhs
+
+    monkeypatch.setattr(anomaly, "triple_product_rhs", shifted)
+    code, text = run(tmp_path, "triple-product-check", "--lambda-order", "4", "--q-order", "2")
+    assert code == 1
+    assert json.loads(text) == {
+        "ok": False,
+        "lambda_order": 4,
+        "q_order": 2,
+        "first_mismatch": {"lambda": 2, "q": 1, "lhs": "-2", "rhs": "-1"},
+    }
+    assert one_error_line(capsys) == "error: triple product identity fails; see first_mismatch"
+
+
+def test_failed_anomaly_report_prints_one_error_line(tmp_path, capsys):
+    doc = json.loads(open(write_reference_table(tmp_path)).read())
+    doc[2]["poly"]["monomials"][0]["coeff"] = "1"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "anomaly-verify", "--table", str(path))
+    assert code == 1 and json.loads(text)["passed"] == "5/8"
+    assert one_error_line(capsys) == "error: anomaly recursion holds on only 5/8 entries"
 
 
 def test_genus_series_tsv(tmp_path):
@@ -311,6 +415,46 @@ def test_usage_errors():
     assert cli.main(["gv-from-gw", "--in", "/nonexistent/input.json"]) == 2
 
 
+SUBCOMMANDS = (
+    "eisenstein", "goettsche", "bps-rational-elliptic", "gv-from-gw", "gw-from-gv",
+    "roundtrip-check", "anomaly-verify", "anomaly-solve", "genus-series",
+    "triple-product-check",
+)
+
+
 def test_help_exits_cleanly(capsys):
     assert cli.main(["--help"]) == 0
-    assert "subcommands" in capsys.readouterr().out.lower() or True
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: bps-series") and err == ""
+    assert all(name in out for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        (["eisenstein", "--weight", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (
+            ["anomaly-solve", "--n", "1", "--g", "0", "--table", "z.json", "--boundary"],
+            "argument --boundary: expected one argument",
+        ),
+        (["anomaly-verify"], "required: --table"),
+        (["genus-series", "--gmax", "x"], "argument --gmax: invalid int value: 'x'"),
+        (["goettsche", "--betti", "1,0,10"], "argument --betti: need five integers"),
+        (["goettsche", "--betti", "1,0,10,0,1,2"], "argument --betti: need five integers"),
+        (["goettsche", "--betti", "1,0,10,0,2"], "violates duality"),
+        (["goettsche", "--betti", "1,0,22,0,1", "--refined"], "not allowed with argument --betti"),
+        (["goettsche"], "one of the arguments --betti --refined is required"),
+    ],
+    ids=[
+        "unknown-subcommand", "unknown-flag", "boundary-without-value", "missing-table",
+        "gmax-not-int", "betti-three-values", "betti-six-values", "betti-violates-duality",
+        "betti-and-refined", "neither-betti-nor-refined",
+    ],
+)
+def test_usage_faults_exit_2_with_one_line(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    line = one_error_line(capsys)
+    assert fragment in line and "Traceback" not in line
