@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import anomaly, goettsche, gvtransform, serialize, sl2
 from .modular import eisenstein
@@ -59,7 +60,55 @@ def _emit(text, path):
 
 
 def _json_text(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + "\n", byte for byte, for obj built of
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError.  json.dumps takes its pure-Python encoder whenever an
+    indent is set, which is about twice as slow as this writer."""
+    out = []
+    _write_json(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline, write):
+    """Write obj at the indentation that newline ("\n" plus two spaces per
+    level) carries."""
+    kind = type(obj)
+    if kind is str:
+        write(encode_basestring_ascii(obj))
+    elif kind is int:
+        write(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        write("null" if obj is None else "true" if obj else "false")
+    elif kind is list:
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            write(sep)
+            _write_json(x, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif kind is dict:
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(x, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _load_json(path):
@@ -258,6 +307,22 @@ def _betti(text):
     return tuple(int(b) for b in bs)
 
 
+def _order(least):
+    """Type of a truncation-order flag: an integer >= least.  A fault names
+    the flag, as argparse prefixes "argument --flag: " to the message."""
+
+    def order(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return order
+
+
 def build_parser():
     parser = _Parser(
         prog="bps-series",
@@ -273,7 +338,7 @@ def build_parser():
 
     p = add("eisenstein", cmd_eisenstein, help="q-expansion of an Eisenstein series")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_Q_ORDER)
+    p.add_argument("--order", type=_order(0), default=DEFAULT_Q_ORDER)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p = add("goettsche", cmd_goettsche, help="Hilbert scheme character series")
@@ -284,7 +349,7 @@ def build_parser():
         action="store_true",
         help="bigraded rational-elliptic-surface product instead of --betti",
     )
-    p.add_argument("--gmax", type=int, default=DEFAULT_G_MAX)
+    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p = add(
@@ -292,7 +357,7 @@ def build_parser():
         cmd_bps_rational_elliptic,
         help="TSV of n_h(C+gF) for the rational elliptic surface",
     )
-    p.add_argument("--gmax", type=int, default=DEFAULT_G_MAX)
+    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
 
     p = add("gv-from-gw", cmd_gv_from_gw, help="invert the transform: BPS from GW")
     p.add_argument("--in", dest="infile", required=True, help="GW table JSON")
@@ -324,13 +389,13 @@ def build_parser():
     p.add_argument("--boundary", required=True, help="comma-separated rationals")
 
     p = add("genus-series", cmd_genus_series, help="fiber-degree-1 genus expansions")
-    p.add_argument("--gmax", type=int, default=DEFAULT_G_MAX)
-    p.add_argument("--q-order", type=int, default=DEFAULT_Q_ORDER)
+    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
+    p.add_argument("--q-order", type=_order(0), default=DEFAULT_Q_ORDER)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p = add("triple-product-check", cmd_triple_product_check, help="resummation identity")
-    p.add_argument("--lambda-order", type=int, default=DEFAULT_LAMBDA_ORDER)
-    p.add_argument("--q-order", type=int, default=DEFAULT_Q_ORDER)
+    p.add_argument("--lambda-order", type=_order(2), default=DEFAULT_LAMBDA_ORDER)
+    p.add_argument("--q-order", type=_order(2), default=DEFAULT_Q_ORDER)
 
     return parser
 

@@ -71,44 +71,55 @@ def i_basis_char(h):
 
 
 def _slices(p):
-    """The tL-slices {e: coefficient of tL^e} of p: an int for one variable,
-    a one-variable LaurentPoly in tR for two."""
+    """The tL-slices {e: coefficient of tL^e} of p, over int: an int for one
+    variable, a dict {tR exponent: int} for two.  p has integer coefficients
+    (see _check_decomposable)."""
     if p.nvars == 1:
-        return {e: int(c) for (e,), c in p.terms.items()}
+        return {e: c.numerator for (e,), c in p.terms.items()}
     rows = {}
     for (el, er), c in p.terms.items():
-        rows.setdefault(el, {})[(er,)] = c
-    return {e: LaurentPoly._of(row, 1) for e, row in rows.items()}
+        rows.setdefault(el, {})[er] = c.numerator
+    return rows
 
 
-def _peel(p, char_of_level):
-    """{level: r} with p == sum char_of_level(level)(tL) * r, for a symmetric
-    p with integer coefficients; r is an int for one variable and a
-    one-variable LaurentPoly in tR for two.
+def _peel(rest, char_of_level):
+    """{level: r} with sum char_of_level(level)(tL) * r equal to the slices
+    rest of a symmetric polynomial (see _slices), which it consumes; r is an
+    int for one-variable slices and a dict {tR exponent: int} for two.
 
     char_of_level(m) must have top term (-1)^m t^m.  Each step pops the top
-    tL-slice c, records r = (-1)^top c and subtracts a * r from the slice at
+    slice c, records r = (-1)^top c and subtracts a * r from the slice at
     every other exponent e of char_of_level(top), a its coefficient there;
-    the top exponent strictly falls, and all of it stays in integers.
+    the top exponent strictly falls, and all of it is int arithmetic.
     """
-    rest = _slices(p)
     out = {}
     while rest:
         top = max(rest)
         if top < 0:
-            raise NotSymmetric(f"peeling left only negative tL exponents: {p!r}")
+            raise NotSymmetric(f"peeling left only negative tL exponents: {rest}")
         c = rest.pop(top)
-        r = c if top % 2 == 0 else -c
-        out[top] = r
-        for (e,), a in char_of_level(top).terms.items():
-            if e != top:
-                s = r * -int(a)
-                if e in rest:
-                    s = rest[e] + s
+        steps = [(e, -a.numerator) for (e,), a in char_of_level(top).terms.items() if e != top]
+        if isinstance(c, int):
+            r = -c if top % 2 else c
+            for e, k in steps:
+                s = rest.get(e, 0) + k * r
                 if s:
                     rest[e] = s
                 else:
                     del rest[e]
+        else:
+            r = {x: -v for x, v in c.items()} if top % 2 else c
+            for e, k in steps:
+                row = rest.setdefault(e, {})
+                for x, v in r.items():
+                    s = row.get(x, 0) + k * v
+                    if s:
+                        row[x] = s
+                    else:
+                        del row[x]
+                if not row:
+                    del rest[e]
+        out[top] = r
     return out
 
 
@@ -119,7 +130,7 @@ def decompose_spins(p):
     coefficients.
     """
     _check_decomposable(p, 1, "decompose_spins")
-    return _peel(p, spin_char)
+    return _peel(_slices(p), spin_char)
 
 
 def spin_to_I_basis(decomp):
@@ -135,13 +146,13 @@ def spin_to_I_basis(decomp):
 def bi_decompose(p):
     """Virtual bi-spin multiplicities {(2jL, 2jR): m} reproducing p.
 
-    Decomposes in tL first (with tR-polynomial coefficients), then decomposes
+    Decomposes in tL first (with tR-slice coefficients), then decomposes
     each layer in tR.
     """
     _check_decomposable(p, 2, "bi_decompose")
     out = {}
-    for two_jl, layer in _peel(p, spin_char).items():
-        for two_jr, m in decompose_spins(layer).items():
+    for two_jl, layer in _peel(_slices(p), spin_char).items():
+        for two_jr, m in _peel(layer, spin_char).items():
             out[(two_jl, two_jr)] = m
     return out
 
@@ -150,7 +161,7 @@ def i_basis_layers(p):
     """Write a bigraded signed character as sum_h char(I_h)(tL) * char(R_h)(tR)
     and decompose each right factor into spins: {h: {2j: multiplicity}}."""
     _check_decomposable(p, 2, "i_basis_layers")
-    return {h: decompose_spins(r) for h, r in _peel(p, i_basis_char).items()}
+    return {h: _peel(r, spin_char) for h, r in _peel(_slices(p), i_basis_char).items()}
 
 
 def bps_from_character(p):
@@ -164,12 +175,10 @@ def bps_from_character(p):
     _check_decomposable(p, 2, "bps_from_character")
 
     via_layers = {}
-    for h, r in _peel(p, i_basis_char).items():
-        n = r.eval_ones()
-        if n.denominator != 1:
-            raise NonIntegerCoefficient(f"n_{h} = {n} is not an integer")
+    for h, r in _peel(_slices(p), i_basis_char).items():
+        n = sum(r.values())
         if n:
-            via_layers[h] = int(n)
+            via_layers[h] = n
 
     via_u = u_expand(p.subs_one(1))
 
@@ -182,4 +191,4 @@ def u_expand(w):
     """Expand a symmetric one-variable Laurent polynomial in powers of
     u = 2 - t - t^(-1): returns {h: integer} with w == sum n_h * u^h."""
     _check_decomposable(w, 1, "u_expand")
-    return _peel(w, i_basis_char)
+    return _peel(_slices(w), i_basis_char)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bps_series import anomaly, cli, goettsche, gvtransform, serialize
 from bps_series.gvtransform import InvariantTable, gw_from_gv
@@ -445,11 +447,22 @@ def test_help_exits_cleanly(capsys):
         (["goettsche", "--betti", "1,0,10,0,2"], "violates duality"),
         (["goettsche", "--betti", "1,0,22,0,1", "--refined"], "not allowed with argument --betti"),
         (["goettsche"], "one of the arguments --betti --refined is required"),
+        (["eisenstein", "--weight", "4", "--order", "-3"], "argument --order: must be >= 0, got -3"),
+        (["goettsche", "--refined", "--gmax", "-1"], "argument --gmax: must be >= 0, got -1"),
+        (["goettsche", "--betti", "1,0,22,0,1", "--gmax", "-1"], "argument --gmax: must be >= 0"),
+        (["bps-rational-elliptic", "--gmax", "-1"], "argument --gmax: must be >= 0, got -1"),
+        (["genus-series", "--gmax", "-1"], "argument --gmax: must be >= 0, got -1"),
+        (["genus-series", "--q-order", "-1"], "argument --q-order: must be >= 0, got -1"),
+        (["triple-product-check", "--q-order", "-2"], "argument --q-order: must be >= 2, got -2"),
+        (["triple-product-check", "--lambda-order", "1"], "argument --lambda-order: must be >= 2"),
     ],
     ids=[
         "unknown-subcommand", "unknown-flag", "boundary-without-value", "missing-table",
         "gmax-not-int", "betti-three-values", "betti-six-values", "betti-violates-duality",
-        "betti-and-refined", "neither-betti-nor-refined",
+        "betti-and-refined", "neither-betti-nor-refined", "eisenstein-order-negative",
+        "refined-gmax-negative", "betti-gmax-negative", "rational-elliptic-gmax-negative",
+        "genus-series-gmax-negative", "genus-series-q-order-negative",
+        "triple-product-q-order-negative", "triple-product-lambda-order-below-2",
     ],
 )
 def test_usage_faults_exit_2_with_one_line(tmp_path, capsys, argv, fragment):
@@ -458,3 +471,27 @@ def test_usage_faults_exit_2_with_one_line(tmp_path, capsys, argv, fragment):
     assert not out.exists()
     line = one_error_line(capsys)
     assert fragment in line and "Traceback" not in line
+
+
+# strings with what JSON must escape: quotes, backslashes, control and
+# non-ASCII characters (astral ones become surrogate pairs)
+json_strings = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+json_ints = st.integers(min_value=-(2**130), max_value=2**130)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings | st.lists(json_ints, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0, 0.5], {"a": [{"b": 2.0}]}, {1: 2}, {"a": {None: 1}}, (1, 2), Fraction(1, 2)]
+)
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

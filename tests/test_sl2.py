@@ -169,3 +169,39 @@ def test_i_basis_layers_product_character():
     assert i_basis_layers(p) == {1: {1: 1}}
     # n_1 = signed dimension of (1/2) = -2
     assert bps_from_character(p) == {1: -2}
+
+
+# multiplicities beyond 64 bits, of either sign
+big_bi_multisets = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+    st.integers(min_value=2**64, max_value=2**80) | st.integers(min_value=-(2**80), max_value=-(2**64)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+@given(big_bi_multisets)
+def test_big_characters_round_trip_over_int(mult):
+    p = bi_char(mult)
+    assert bi_decompose(p) == mult and all_ints(bi_decompose(p).values())
+
+    layers = i_basis_layers(p)
+    assert all(all_ints(layer.values()) for layer in layers.values())
+    total = LaurentPoly(nvars=2)
+    for h, layer in layers.items():
+        total = total + i_basis_char(h).embed(2, 0) * signed_char(layer).embed(2, 1)
+    assert total == p
+
+    n = bps_from_character(p)
+    assert all_ints(n.values())
+    expected = {h: signed_char(layer).eval_ones() for h, layer in layers.items()}
+    assert n == {h: v for h, v in expected.items() if v}
+    assert u_expand(p.subs_one(1)) == n and all_ints(u_expand(p.subs_one(1)).values())
+
+    right = p.subs_one(0)
+    spins = decompose_spins(right)
+    assert all_ints(spins.values()) and signed_char(spins) == right
