@@ -279,8 +279,8 @@ def solve_anomaly(n, g, known, boundary_q_coeffs):
 
     boundary_q_coeffs lists the leading q-coefficients of the realized
     Z_{g;n}; at least as many as there are weight-(2g+6n-2) monomials in
-    E4, E6 alone.  Returns the unique matching GradedPoly; n < 1 or g < 0
-    raises ValueError.
+    E4, E6 alone, each an int or a Fraction.  Returns the unique matching
+    GradedPoly; n < 1, g < 0 or any other boundary value raises ValueError.
     """
     _check_degree_genus(n, g)
     weight = 2 * g + 6 * n - 2
@@ -291,7 +291,7 @@ def solve_anomaly(n, g, known, boundary_q_coeffs):
         for c in range(weight // 6 + 1)
         if 4 * b + 6 * c == weight
     ]
-    boundary = [Fraction(x) for x in boundary_q_coeffs]
+    boundary = [coefficient(x, f"boundary[{i}]") for i, x in enumerate(boundary_q_coeffs)]
     if len(boundary) < len(basis):
         raise UnderdeterminedBoundary(
             f"{len(basis)} unknown E4/E6 monomials need at least "

@@ -57,11 +57,12 @@ class MismatchAgainstProduct(ArithmeticError):
 
 
 class BettiVector:
-    """Betti numbers (b0, b1, b2, b3, b4) of a surface; duality enforced."""
+    """Betti numbers (b0, b1, b2, b3, b4) of a surface, each a nonnegative int;
+    duality enforced."""
 
     def __init__(self, b0, b1, b2, b3, b4):
         bs = (b0, b1, b2, b3, b4)
-        if any(b < 0 or b != int(b) for b in bs):
+        if any(type(b) is not int or b < 0 for b in bs):
             raise ValueError(f"Betti numbers must be nonnegative integers: {bs}")
         if b0 != b4 or b1 != b3:
             raise ValueError(f"violates duality b0=b4, b1=b3: {bs}")

@@ -166,21 +166,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            raise TypeError("exponent must be an integer")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = LaurentPoly.const(1, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
-
     def inverse(self):
         """Inverse of a unit (a single monomial)."""
         if len(self.terms) != 1:
@@ -189,20 +174,6 @@ class LaurentPoly:
         return LaurentPoly({tuple(-e for e in exps): Fraction(1) / c}, self.nvars)
 
     # -- structure queries ---------------------------------------------------
-
-    def flip(self, var=0):
-        """Substitute x_var -> x_var^(-1)."""
-        flipped = {
-            tuple(-x if i == var else x for i, x in enumerate(e)): c
-            for e, c in self.terms.items()
-        }
-        return LaurentPoly._of(flipped, self.nvars)
-
-    def is_symmetric(self, var=0):
-        return self.flip(var) == self
-
-    def has_integer_coeffs(self):
-        return all(c.denominator == 1 for c in self.terms.values())
 
     def subs_one(self, var):
         """Set x_var = 1, returning a polynomial in the remaining variables

@@ -242,8 +242,9 @@ def euler_int_layers(specs, order, nvars):
 
     Each spec is (exps, c, e): an exponent tuple of length nvars, an integer
     coefficient c and an integer exponent e of either sign, so the factor's
-    monomial is m = c * x^exps.  The layers come from the log-derivative
-    recurrence (Knuth, TAOCP vol. 2, 4.7)
+    monomial is m = c * x^exps; an entry whose type is not int (a bool, a
+    float or a Fraction) raises ValueError naming the spec.  The layers come
+    from the log-derivative recurrence (Knuth, TAOCP vol. 2, 4.7)
 
         N * P_N = sum_{K=1}^{N} b_K * P_{N-K},
         b_K = -sum_{(exps, c, e)} e * sum_{n | K} n * m^(K/n),
@@ -254,8 +255,11 @@ def euler_int_layers(specs, order, nvars):
     span = order * max|exps| of 0, so with base = 2 * span + 1 monomial
     products are int additions; the tuples are unpacked once at the end.
     """
-    if any(len(exps) != nvars for exps, _, _ in specs):
-        raise ValueError(f"every exponent tuple must have {nvars} entries")
+    for i, (exps, c, e) in enumerate(specs):
+        if len(exps) != nvars:
+            raise ValueError(f"every exponent tuple must have {nvars} entries")
+        if any(type(x) is not int for x in (*exps, c, e)):
+            raise ValueError(f"specs[{i}] = {(exps, c, e)!r}: exponents, c and e must be int")
     span = order * max((abs(a) for exps, _, _ in specs for a in exps), default=0)
     base = 2 * span + 1
     b = [{} for _ in range(order + 1)]

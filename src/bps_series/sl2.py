@@ -7,12 +7,14 @@ character of the spin-j irreducible is
 matching the trace Tr (-1)^(2H) t^(2H).  I_h denotes [(1/2) + 2(0)]^(tensor h),
 whose signed character is (2 - t - t^(-1))^h; expansion in the I-basis and all
 decompositions work by peeling the top exponent, which is triangular and stays
-in integers.
+in integers.  Each entry point checks and slices its input in one pass over
+int (_slices) and peels the slices without making a Fraction (_peel).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .laurent import LaurentPoly
 
@@ -36,17 +38,6 @@ class RouteDisagreement(ArithmeticError):
         self.via_u = via_u
 
 
-def _check_decomposable(p, nvars, caller):
-    """Refuse what no peel decomposes, naming the public caller."""
-    if p.nvars != nvars:
-        raise ValueError(f"{caller} expects a polynomial in {nvars} variable(s), got {p.nvars}")
-    if not p.has_integer_coeffs():
-        raise NonIntegerCoefficient(f"{caller}: non-integer coefficients in {p!r}")
-    for var in range(nvars):
-        if not p.is_symmetric(var):
-            raise NotSymmetric(f"{caller}: not symmetric in variable {var}: {p!r}")
-
-
 def spin_char(two_j):
     """Signed character of the single spin-(two_j/2) irreducible."""
     sign = -1 if two_j % 2 else 1
@@ -65,32 +56,52 @@ def signed_char(mult):
 
 @lru_cache(maxsize=None)
 def i_basis_char(h):
-    """Signed character of I_h = [(1/2) + 2(0)]^(tensor h): (2 - t - t^(-1))^h."""
-    base = LaurentPoly({(0,): 2, (1,): -1, (-1,): -1}, 1)
-    return base**h
+    """Signed character of I_h = [(1/2) + 2(0)]^(tensor h): (2 - t - t^(-1))^h.
+    As 2 - t - t^(-1) = -(t^(1/2) - t^(-1/2))^2, its t^k coefficient is
+    (-1)^k C(2h, h + k) for |k| <= h."""
+    return LaurentPoly(
+        {(k,): -comb(2 * h, h + k) if k % 2 else comb(2 * h, h + k) for k in range(-h, h + 1)}, 1
+    )
 
 
-def _slices(p):
-    """The tL-slices {e: coefficient of tL^e} of p, over int: an int for one
-    variable, a dict {tR exponent: int} for two.  p has integer coefficients
-    (see _check_decomposable)."""
-    if p.nvars == 1:
-        return {e: c.numerator for (e,), c in p.terms.items()}
+def _slices(p, nvars, caller):
+    """The tL-slices {e: coefficient of tL^e} of p over int: an int for one
+    variable, a dict {tR exponent: int} for two.
+
+    One read of p.terms refuses what no peel decomposes, naming the public
+    caller: a wrong number of variables, then a non-integer coefficient,
+    then asymmetry under tL <-> tL^(-1), then under tR <-> tR^(-1).
+    """
+    if p.nvars != nvars:
+        raise ValueError(f"{caller} expects a polynomial in {nvars} variable(s), got {p.nvars}")
+    ints = {}
+    for e, c in p.terms.items():
+        if c.denominator != 1:
+            raise NonIntegerCoefficient(f"{caller}: non-integer coefficients in {p!r}")
+        ints[e] = c.numerator
+    for var in range(nvars):
+        if any(ints.get(e[:var] + (-e[var],) + e[var + 1 :]) != c for e, c in ints.items()):
+            raise NotSymmetric(f"{caller}: not symmetric in variable {var}: {p!r}")
+    if nvars == 1:
+        return {e: c for (e,), c in ints.items()}
     rows = {}
-    for (el, er), c in p.terms.items():
-        rows.setdefault(el, {})[er] = c.numerator
+    for (el, er), c in ints.items():
+        rows.setdefault(el, {})[er] = c
     return rows
 
 
 def _peel(rest, char_of_level):
     """{level: r} with sum char_of_level(level)(tL) * r equal to the slices
-    rest of a symmetric polynomial (see _slices), which it consumes; r is an
-    int for one-variable slices and a dict {tR exponent: int} for two.
+    rest, which it consumes: the checked slices of _slices, or a layer r of
+    an earlier peel; r is an int for one-variable slices and a dict
+    {tR exponent: int} for two.
 
-    char_of_level(m) must have top term (-1)^m t^m.  Each step pops the top
-    slice c, records r = (-1)^top c and subtracts a * r from the slice at
-    every other exponent e of char_of_level(top), a its coefficient there;
-    the top exponent strictly falls, and all of it is int arithmetic.
+    char_of_level(m) must have top term (-1)^m t^m and integer coefficients.
+    Each step pops the top slice c, records r = (-1)^top c and subtracts
+    a * r from the slice at every other exponent e of char_of_level(top), a
+    its coefficient there; the top exponent strictly falls, and all of it is
+    int arithmetic.  Slices left only at negative exponents mean the input
+    was not symmetric, and raise NotSymmetric.
     """
     out = {}
     while rest:
@@ -129,8 +140,7 @@ def decompose_spins(p):
     Peels from the top exponent downward; requires p symmetric with integer
     coefficients.
     """
-    _check_decomposable(p, 1, "decompose_spins")
-    return _peel(_slices(p), spin_char)
+    return _peel(_slices(p, 1, "decompose_spins"), spin_char)
 
 
 def spin_to_I_basis(decomp):
@@ -149,9 +159,8 @@ def bi_decompose(p):
     Decomposes in tL first (with tR-slice coefficients), then decomposes
     each layer in tR.
     """
-    _check_decomposable(p, 2, "bi_decompose")
     out = {}
-    for two_jl, layer in _peel(_slices(p), spin_char).items():
+    for two_jl, layer in _peel(_slices(p, 2, "bi_decompose"), spin_char).items():
         for two_jr, m in _peel(layer, spin_char).items():
             out[(two_jl, two_jr)] = m
     return out
@@ -160,8 +169,8 @@ def bi_decompose(p):
 def i_basis_layers(p):
     """Write a bigraded signed character as sum_h char(I_h)(tL) * char(R_h)(tR)
     and decompose each right factor into spins: {h: {2j: multiplicity}}."""
-    _check_decomposable(p, 2, "i_basis_layers")
-    return {h: _peel(r, spin_char) for h, r in _peel(_slices(p), i_basis_char).items()}
+    layers = _peel(_slices(p, 2, "i_basis_layers"), i_basis_char)
+    return {h: _peel(r, spin_char) for h, r in layers.items()}
 
 
 def bps_from_character(p):
@@ -172,10 +181,8 @@ def bps_from_character(p):
     tL, then evaluate each r_h at tR = 1; (b) set tR = 1 first and expand the
     result in powers of u = 2 - tL - tL^(-1).
     """
-    _check_decomposable(p, 2, "bps_from_character")
-
     via_layers = {}
-    for h, r in _peel(_slices(p), i_basis_char).items():
+    for h, r in _peel(_slices(p, 2, "bps_from_character"), i_basis_char).items():
         n = sum(r.values())
         if n:
             via_layers[h] = n
@@ -190,5 +197,4 @@ def bps_from_character(p):
 def u_expand(w):
     """Expand a symmetric one-variable Laurent polynomial in powers of
     u = 2 - t - t^(-1): returns {h: integer} with w == sum n_h * u^h."""
-    _check_decomposable(w, 1, "u_expand")
-    return _peel(_slices(w), i_basis_char)
+    return _peel(_slices(w, 1, "u_expand"), i_basis_char)

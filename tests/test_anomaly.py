@@ -163,6 +163,14 @@ def test_solver_recovers_reference_numerators():
         assert solved == expect, (n, g)
 
 
+@pytest.mark.parametrize("boundary, index", [([0.1], 0), (["1e3"], 0), ([1, 2.0], 1)])
+def test_solver_refuses_non_exact_boundary(boundary, index):
+    # Fraction(0.1) is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match=rf"^coefficient at boundary\[{index}\]: "):
+        solve_anomaly(1, 0, {}, boundary)
+    assert solve_anomaly(1, 0, {}, [Fraction(3, 2)]) == GradedPoly(4, {(0, 1, 0): Fraction(3, 2)})
+
+
 def test_solver_boundary_diagnostics():
     norm = _normalized_reference()
     with pytest.raises(UnderdeterminedBoundary):

@@ -14,6 +14,7 @@ from bps_series.qseries import (
     QSeries,
     binomial_coeff,
     eta_product,
+    euler_int_layers,
     geom_factor_product,
 )
 
@@ -144,6 +145,26 @@ def test_geom_factor_product_scalar_and_arity():
     assert geom_factor_product([((), 1, -1)], 0, 0) == QSeries([Fraction(1)], 0)
     with pytest.raises(ValueError):
         geom_factor_product([((1,), 1, 1)], 3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, index",
+    [
+        (lambda: eta_product(Fraction(1, 2), 4), 0),
+        (lambda: eta_product(0.5, 4), 0),
+        (lambda: eta_product(True, 4), 0),
+        (lambda: eta_product(Fraction(-1), 4), 0),
+        (lambda: euler_int_layers([((0.5,), 1, 1)], 2, 1), 0),
+        (lambda: euler_int_layers([((1,), 1, 1), ((0,), 2.0, 1)], 2, 1), 1),
+        (lambda: euler_int_layers([((1,), 1, 1), ((0,), False, 1)], 2, 1), 1),
+        (lambda: geom_factor_product([((0, 0), 1, -1), ((1, 1), Fraction(3), 1)], 3, 2), 1),
+    ],
+)
+def test_euler_kernel_refuses_non_int_specs(build, index):
+    # the int recurrence would take these without an error and build a wrong product
+    message = rf"^specs\[{index}\] = .*: exponents, c and e must be int$"
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=6))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,8 +82,6 @@ def test_decompose_rejects_asymmetric():
 
 
 def test_decompose_rejects_fractional():
-    from fractions import Fraction
-
     with pytest.raises(NonIntegerCoefficient):
         decompose_spins(LaurentPoly({(0,): Fraction(1, 2)}, nvars=1))
 
@@ -92,6 +93,53 @@ def test_decompose_rejects_fractional():
 def test_wrong_variable_count_is_refused(decompose, nvars):
     with pytest.raises(ValueError, match="variable"):
         decompose(LaurentPoly.const(1, nvars))
+
+
+HALF = Fraction(1, 2)
+
+# (case, terms in tL and tR, expected error, message after "<entry>: ")
+REFUSALS = [
+    ("asymmetric-tL", {(1, 0): 1}, NotSymmetric, "not symmetric in variable 0: "),
+    ("unequal-tL-pair", {(1, 0): 1, (-1, 0): 2}, NotSymmetric, "not symmetric in variable 0: "),
+    ("asymmetric-tR", {(0, 1): 1}, NotSymmetric, "not symmetric in variable 1: "),
+    ("unequal-tR-pair", {(2, 1): 1, (-2, 1): 1, (2, -1): 3, (-2, -1): 3}, NotSymmetric,
+     "not symmetric in variable 1: "),
+    ("asymmetric-both", {(1, 1): 1}, NotSymmetric, "not symmetric in variable 0: "),
+    ("half-on-symmetric-pair", {(1, 0): HALF, (-1, 0): HALF}, NonIntegerCoefficient,
+     "non-integer coefficients in "),
+    ("half-and-asymmetric-tL", {(1, 0): HALF, (0, 0): 1}, NonIntegerCoefficient,
+     "non-integer coefficients in "),
+    ("half-and-asymmetric-tR", {(0, 1): 1, (0, 0): HALF}, NonIntegerCoefficient,
+     "non-integer coefficients in "),
+]
+
+
+def refusal_cases():
+    # one-variable entry points take the tL part of the cases without tR exponents
+    for entry in (decompose_spins, u_expand, bi_decompose, i_basis_layers, bps_from_character):
+        one_variable = entry in (decompose_spins, u_expand)
+        for case, terms, error, message in REFUSALS:
+            if one_variable and any(er for _, er in terms):
+                continue
+            if one_variable:
+                p = LaurentPoly({(el,): c for (el, _), c in terms.items()}, nvars=1)
+            else:
+                p = LaurentPoly(terms, nvars=2)
+            yield pytest.param(entry, p, error, message, id=f"{entry.__name__}-{case}")
+
+
+@pytest.mark.parametrize("entry, p, error, message", refusal_cases())
+def test_checks_refuse_with_typed_error(entry, p, error, message):
+    with pytest.raises(error, match=f"^{entry.__name__}: {message}{re.escape(repr(p))}$"):
+        entry(p)
+
+
+def test_i_basis_char_matches_repeated_products():
+    base = LaurentPoly({(0,): 2, (1,): -1, (-1,): -1}, nvars=1)
+    power = LaurentPoly.const(1, nvars=1)
+    for h in range(25):
+        assert i_basis_char(h) == power
+        power = power * base
 
 
 @given(st.integers(min_value=0, max_value=8))
