@@ -24,7 +24,6 @@ from .goettsche import (
     BettiVector,
     GradedCharacter,
     MismatchAgainstProduct,
-    Partition,
     bps_rational_elliptic,
     goettsche_series,
     nakajima_assembly,

@@ -155,9 +155,6 @@ class ZFunction:
         self.g = g
         self.poly = poly
 
-    def realize(self, order):
-        return realize(self.poly, self.n, order)
-
     def __repr__(self):
         return f"ZFunction(n={self.n}, g={self.g}, {self.poly!r})"
 

@@ -68,11 +68,8 @@ class BettiVector:
             raise ValueError(f"violates duality b0=b4, b1=b3: {bs}")
         self.b0, self.b1, self.b2, self.b3, self.b4 = bs
 
-    def as_tuple(self):
-        return (self.b0, self.b1, self.b2, self.b3, self.b4)
-
     def __repr__(self):
-        return f"BettiVector{self.as_tuple()}"
+        return f"BettiVector{(self.b0, self.b1, self.b2, self.b3, self.b4)}"
 
 
 class GradedCharacter:
@@ -97,49 +94,16 @@ def rational_elliptic_character():
     return GradedCharacter(poly)
 
 
-class Partition:
-    """Nonincreasing positive parts summing to n."""
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be nonincreasing: {parts}")
-        self.parts = parts
-
-    @property
-    def n(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def multiplicities(self):
-        """{part size i: number of parts equal to i}."""
-        mult = {}
-        for p in self.parts:
+def _partition_multiplicities(n, largest=None):
+    """Yield {part size: number of parts of that size} for every partition
+    of n into parts of size at most largest (default n)."""
+    if n == 0:
+        yield {}
+        return
+    for p in range(min(n, largest or n), 0, -1):
+        for mult in _partition_multiplicities(n - p, p):
             mult[p] = mult.get(p, 0) + 1
-        return mult
-
-    @classmethod
-    def all_of(cls, n):
-        """Every partition of n, in lexicographically decreasing order."""
-        out = []
-
-        def rec(remaining, cap, prefix):
-            if remaining == 0:
-                out.append(cls(prefix))
-                return
-            for p in range(min(cap, remaining), 0, -1):
-                rec(remaining - p, p, prefix + (p,))
-
-        rec(n, n, ())
-        return out
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+            yield mult
 
 
 def goettsche_series(b, g_max):
@@ -221,9 +185,9 @@ def nakajima_assembly(c, g_max):
     layers = []
     for n in range(g_max + 1):
         total = LaurentPoly(nvars=nvars)
-        for nu in Partition.all_of(n):
+        for mult in _partition_multiplicities(n):
             term = LaurentPoly.const(1, nvars)
-            for alpha in nu.multiplicities().values():
+            for alpha in mult.values():
                 term = term * sym[alpha]
             total = total + term
         layers.append(total)

@@ -151,18 +151,25 @@ class InvariantTable:
     kind "gw": values are Fractions; entries outside the window are unknown.
     kind "bps": values are integers; entries outside the window are zero
     (the window is a support bound).
+
+    Input must be exact: rank, degree weights, windows, genera and class
+    components of type int, values of type int or Fraction (integral ones
+    for bps); anything else raises ValueError.
     """
 
     def __init__(self, kind, rank, degree_weights, max_genus, max_degree, entries=None):
         if kind not in (GW, BPS):
             raise ValueError(f"kind must be {GW!r} or {BPS!r}")
+        degree_weights = tuple(degree_weights)
+        if any(type(x) is not int for x in (rank, *degree_weights, max_genus, max_degree)):
+            raise ValueError("rank, degree weights, max_genus and max_degree must be ints")
         if rank < 1 or len(degree_weights) != rank or any(w <= 0 for w in degree_weights):
             raise ValueError("need rank >= 1 and one positive degree weight per lattice direction")
         if max_genus < 0 or max_degree < 0:
             raise ValueError("max_genus and max_degree must be >= 0")
         self.kind = kind
         self.rank = rank
-        self.degree_weights = tuple(degree_weights)
+        self.degree_weights = degree_weights
         self.max_genus = max_genus
         self.max_degree = max_degree
         self.entries = {}
@@ -174,26 +181,27 @@ class InvariantTable:
 
     def _check_class(self, cls):
         cls = tuple(cls)
-        if len(cls) != self.rank or any(c < 0 for c in cls) or not any(cls):
+        if len(cls) != self.rank or any(type(c) is not int or c < 0 for c in cls) or not any(cls):
             raise ValueError(f"{cls} is not a nonzero class of the rank-{self.rank} effective cone")
         return cls
 
     def set(self, g, cls, value):
         cls = self._check_class(cls)
-        if g < 0:
-            raise ValueError("genus must be >= 0")
+        if type(g) is not int or g < 0:
+            raise ValueError(f"genus must be an int >= 0, got {g!r}")
         if g > self.max_genus or self.degree(cls) > self.max_degree:
             raise InsufficientTruncation(
                 f"({g}, {cls}) lies outside the table window "
                 f"(max_genus={self.max_genus}, max_degree={self.max_degree})"
             )
-        if isinstance(value, float):
-            raise ValueError(f"({g}, {cls}): float {value!r} not allowed; use an int or a Fraction")
+        if type(value) not in (int, Fraction):
+            what = f"{type(value).__name__} {value!r}"
+            raise ValueError(f"({g}, {cls}): {what} not allowed; use an int or a Fraction")
         if self.kind == BPS:
-            if isinstance(value, Fraction) and value.denominator != 1:
+            if value.denominator != 1:
                 raise NonIntegralBPS(cls, g, value)
             value = int(value)
-        else:
+        elif type(value) is int:
             value = Fraction(value)
         if value:
             self.entries[(g, cls)] = value

@@ -28,9 +28,9 @@ _VAR_NAMES = {1: ("t",), 2: ("tL", "tR")}
 
 
 def coefficient(c, key):
-    """c as a Fraction; an int or a Fraction passes, anything else (a float
-    above all) raises ValueError naming key."""
-    if isinstance(c, (int, Fraction)):
+    """c as a Fraction; a value of type int or Fraction passes, anything else
+    (a float or a bool above all) raises ValueError naming key."""
+    if type(c) in (int, Fraction):
         return Fraction(c)
     raise ValueError(f"coefficient at {key}: {type(c).__name__} {c!r} is not an int or a Fraction")
 
@@ -80,18 +80,7 @@ class LaurentPoly:
     def const(cls, value, nvars=1):
         return cls({(0,) * nvars: value}, nvars)
 
-    @classmethod
-    def var(cls, index=0, nvars=1, power=1, coeff=1):
-        exps = [0] * nvars
-        exps[index] = power
-        return cls({tuple(exps): coeff}, nvars)
-
     # -- basics ------------------------------------------------------------
-
-    def coeff(self, exps):
-        if isinstance(exps, int):
-            exps = (exps,)
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def __bool__(self):
         return bool(self.terms)
@@ -165,13 +154,6 @@ class LaurentPoly:
         return LaurentPoly._of(mul_terms(self.terms, o.terms), self.nvars)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        """Inverse of a unit (a single monomial)."""
-        if len(self.terms) != 1:
-            raise ArithmeticError("only monomials are invertible Laurent polynomials")
-        (exps, c), = self.terms.items()
-        return LaurentPoly({tuple(-e for e in exps): Fraction(1) / c}, self.nvars)
 
     # -- structure queries ---------------------------------------------------
 

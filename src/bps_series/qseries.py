@@ -4,7 +4,8 @@ A QSeries stores the coefficients of q^0 .. q^order densely.  Coefficients may
 live in any exact commutative ring that supports +, -, * among themselves and
 with int/Fraction scalars: Fraction itself, LaurentPoly, or another QSeries in
 a different variable (nested series).  All arithmetic is exact; there is no
-floating point anywhere.
+floating point anywhere.  Inversion (inv, negative powers) is the exception:
+it needs a nonzero int or Fraction constant term, whatever the ring.
 
 Truncation is explicit: binary operations truncate to the minimum of the two
 operand orders and never extend a series silently.
@@ -24,21 +25,6 @@ class NonUnitConstantTerm(ArithmeticError):
 
 class BadConstantTerm(ArithmeticError):
     """exp of a series with nonzero constant term, or log of one not equal 1."""
-
-
-def _inv_coeff(c):
-    """Multiplicative inverse of a coefficient-ring element."""
-    if isinstance(c, (int, Fraction)):
-        if c == 0:
-            raise NonUnitConstantTerm("constant term is zero")
-        return Fraction(1) / Fraction(c)
-    invert = getattr(c, "inverse", None) or getattr(c, "inv", None)
-    if invert is None:
-        raise NonUnitConstantTerm(f"constant term {c!r} is not invertible")
-    try:
-        return invert()
-    except ArithmeticError as exc:
-        raise NonUnitConstantTerm(f"constant term {c!r} is not invertible") from exc
 
 
 class QSeries:
@@ -68,10 +54,6 @@ class QSeries:
         return cls([value], order, var)
 
     @classmethod
-    def one(cls, order, var="q"):
-        return cls.constant(Fraction(1), order, var)
-
-    @classmethod
     def zero(cls, order, var="q"):
         return cls.constant(Fraction(0), order, var)
 
@@ -87,11 +69,6 @@ class QSeries:
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1], order, self.var)
 
     def is_same_ring(self, other):
         return isinstance(other, QSeries) and other.var == self.var
@@ -165,9 +142,12 @@ class QSeries:
         return result
 
     def inv(self):
-        """Multiplicative inverse; requires a unit constant term."""
-        c0inv = _inv_coeff(self.coeffs[0])
+        """Multiplicative inverse; requires a nonzero int or Fraction constant
+        term, whatever the coefficient ring (NonUnitConstantTerm otherwise)."""
         a = self.coeffs
+        if not isinstance(a[0], (int, Fraction)) or a[0] == 0:
+            raise NonUnitConstantTerm(f"constant term {a[0]!r} is not a nonzero rational")
+        c0inv = Fraction(1) / a[0]
         out = [c0inv]
         for n in range(1, self.order + 1):
             acc = a[1] * out[n - 1]

@@ -163,7 +163,9 @@ def test_solver_recovers_reference_numerators():
         assert solved == expect, (n, g)
 
 
-@pytest.mark.parametrize("boundary, index", [([0.1], 0), (["1e3"], 0), ([1, 2.0], 1)])
+@pytest.mark.parametrize(
+    "boundary, index", [([0.1], 0), (["1e3"], 0), ([1, 2.0], 1), ([True], 0), ([0, False], 1)]
+)
 def test_solver_refuses_non_exact_boundary(boundary, index):
     # Fraction(0.1) is the binary fraction 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValueError, match=rf"^coefficient at boundary\[{index}\]: "):
@@ -193,8 +195,12 @@ def test_realized_base_expansion():
 
 
 def test_zfunction_realize_matches_module_function():
-    z = ZFunction(1, 0, GradedPoly.e4())
-    assert z.realize(4) == realize(GradedPoly.e4(), 1, 4)
+    # a ZFunction's n fixes the eta power: its series is poly(E2, E4, E6)
+    # times the 12n-th power of the partition series, built here from counts
+    z = ZFunction(2, 0, GradedPoly(10, {(0, 1, 1): 1}))
+    partitions = QSeries([oracles.partition_count_simple(k) for k in range(5)])
+    expect = eisenstein(4, 4) * eisenstein(6, 4) * partitions ** (12 * z.n)
+    assert realize(z.poly, z.n, 4) == expect
 
 
 def test_genus_series_matches_realized_polynomials():

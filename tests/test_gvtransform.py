@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -144,10 +145,52 @@ def test_table_refuses_floats():
     assert not bps.entries and not gw.entries
 
 
+@pytest.mark.parametrize(
+    "kind, g, cls, value, message",
+    [
+        ("bps", 0, (1,), Decimal("7.5"), r"^\(0, \(1,\)\): Decimal Decimal\('7\.5'\) not allowed"),
+        ("gw", 0, (1,), "1e3", r"^\(0, \(1,\)\): str '1e3' not allowed"),
+        ("bps", 1, (2,), True, r"^\(1, \(2,\)\): bool True not allowed"),
+        ("bps", True, (1,), 1, r"^genus must be an int >= 0, got True$"),
+        ("gw", 1.0, (1,), 1, r"^genus must be an int >= 0, got 1\.0$"),
+        ("bps", 0, (True,), 1, r"^\(True,\) is not a nonzero class"),
+        ("gw", 0, (2.0,), 1, r"^\(2\.0,\) is not a nonzero class"),
+    ],
+    ids=["decimal", "str", "bool-value", "bool-genus", "float-genus", "bool-class", "float-class"],
+)
+def test_table_set_refuses_inexact_input(kind, g, cls, value, message):
+    # each used to be stored: 7.5 as 7, "1e3" as 1000, True as 1 or as a bool key
+    table = InvariantTable(kind, 1, (1,), 2, 4)
+    with pytest.raises(ValueError, match=message):
+        table.set(g, cls, value)
+    assert not table.entries
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, (0.5,), 2, 3),
+        (1, (True,), 2, 3),
+        (1.0, (1,), 2, 3),
+        (True, (1,), 2, 3),
+        (1, (1,), 2.0, 3),
+        (1, (1,), 2, Fraction(3)),
+        (1, (1,), False, 3),
+    ],
+)
+def test_table_header_refuses_non_int(args):
+    message = r"^rank, degree weights, max_genus and max_degree must be ints$"
+    for kind in ("bps", "gw"):
+        with pytest.raises(ValueError, match=message):
+            InvariantTable(kind, *args)
+
+
 def test_window_semantics():
     t = InvariantTable("bps", 1, (1,), 2, 4)
     t.set(0, (1,), 5)
-    assert t.get(0, (1,)) == 5
+    t.set(1, (2,), Fraction(-3))
+    assert t.entries == {(0, (1,)): 5, (1, (2,)): -3}
+    assert all(type(v) is int for v in t.entries.values())
     # a BPS table is total: outside the window the invariant vanishes
     assert t.get(0, (5,)) == 0
     assert t.get(3, (1,)) == 0
@@ -155,6 +198,8 @@ def test_window_semantics():
         t.set(0, (5,), 1)
     gw = InvariantTable("gw", 1, (1,), 2, 4)
     gw.set(0, (1,), Fraction(1, 8))
+    gw.set(1, (1,), 7)
+    assert type(gw.get(1, (1,))) is Fraction
     # a GW table is a truncation: outside the window is unknown, not zero
     with pytest.raises(InsufficientTruncation):
         gw.get(0, (5,))

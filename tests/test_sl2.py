@@ -46,7 +46,7 @@ def test_i_basis_char_small():
     assert i_basis_char(1) == LaurentPoly({(0,): 2, (1,): -1, (-1,): -1}, nvars=1)
     # top coefficient of I_h is (-1)^h at t^h
     for h in range(6):
-        assert i_basis_char(h).coeff((h,)) == (-1) ** h
+        assert i_basis_char(h).terms[(h,)] == (-1) ** h
 
 
 def test_spin_to_I_basis_table():
