@@ -111,6 +111,39 @@ def _write_json(obj, newline, write):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+_TABLE = """{
+  "rank": %d,
+  "degree_weights": [
+    %s
+  ],
+  "kind": "%s",
+  "max_genus": %d,
+  "max_degree": %d,
+  "entries": %s
+}
+"""
+_TABLE_ENTRY = """    {
+      "genus": %d,
+      "class": [
+        %s
+      ],
+      "value": "%s"
+    }"""
+
+
+def _table_text(t):
+    """_json_text(serialize.table_to_json(t)), byte for byte, written entry
+    by entry from one template; a value is written as str(v), which is the
+    "p/q" string of an int or a Fraction."""
+    entries = ",\n".join(
+        _TABLE_ENTRY % (g, ",\n        ".join(map(str, cls)), t.entries[g, cls])
+        for g, cls in sorted(t.entries)
+    )
+    weights = ",\n    ".join(map(str, t.degree_weights))
+    body = f"[\n{entries}\n  ]" if entries else "[]"
+    return _TABLE % (t.rank, weights, t.kind, t.max_genus, t.max_degree, body)
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -159,14 +192,12 @@ def cmd_gv_from_gw(args):
     lambda_order = args.lambda_order
     if lambda_order is None:
         lambda_order = 2 * gw.max_genus - 2
-    bps = gvtransform.gv_from_gw(gw, lambda_order, args.degree)
-    return _json_text(serialize.table_to_json(bps))
+    return _table_text(gvtransform.gv_from_gw(gw, lambda_order, args.degree))
 
 
 def cmd_gw_from_gv(args):
     bps = serialize.table_from_json(_load_json(args.infile))
-    gw = gvtransform.gw_from_gv(bps, args.lambda_order, args.degree)
-    return _json_text(serialize.table_to_json(gw))
+    return _table_text(gvtransform.gw_from_gv(bps, args.lambda_order, args.degree))
 
 
 def cmd_roundtrip_check(args):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial
+from math import factorial, lcm
 
 from .laurent import coefficient, collect
 
@@ -267,6 +267,20 @@ def _divide_class(cls, k):
     return None if any(c % k for c in cls) else tuple(c // k for c in cls)
 
 
+def _genus_denominators(rows, max_k):
+    """(E_g for each genus g): one common denominator per genus that makes
+    every E_g c_{h,g} an int and every k-th multicover of it exact for
+    k <= max_k.  E_g = D_g L^3 at g = 0, D_g L at g = 1 and D_g at g >= 2,
+    with D_g the lcm of the c_{h,g} denominators and L = lcm(1..max_k): the
+    multicover scale k^(2g-3) divides by k^3 at g = 0 and by k at g = 1."""
+    big_l = lcm(*range(1, max_k + 1))
+    out = [lcm(*(c.denominator for c in column)) for column in zip(*rows)]
+    out[0] *= big_l**3
+    if len(out) > 1:
+        out[1] *= big_l
+    return out
+
+
 def gw_from_gv(bps, lambda_order, degree_order=None):
     """Assemble the Gromov-Witten table from a BPS table.
 
@@ -276,6 +290,11 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
     times that of f(lam), the k-th multicover adds k^(2g-3) s_g(beta) to
     N_g(k beta) for every k with deg(k beta) <= degree_order.  Exact for
     every genus with 2g - 2 <= lambda_order.
+
+    The sums run over int: genus g is carried as E_g N_g with the common
+    denominator E_g of _genus_denominators, so the k-th multicover divides
+    exactly by k^3 at g = 0 and by k at g = 1, and each entry becomes a
+    Fraction once, at the end.
     """
     if degree_order is None:
         degree_order = bps.max_degree
@@ -288,23 +307,32 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
         )
     max_genus = (lambda_order + 2) // 2
     rows = _kernel_rows(max_genus, lambda_order)
-    vectors = {}  # class -> genus vector s(beta)
+    denominators = _genus_denominators(rows, degree_order // min(bps.degree_weights))
+    rows = [[int(e * c) for e, c in zip(denominators, row)] for row in rows]
+    vectors = {}  # class -> E_g s_g(beta)
     for (h, beta), n in bps.entries.items():
         # rows of h > max_genus are empty inside the lambda window
         if h <= max_genus and bps.degree(beta) <= degree_order:
             s = vectors.setdefault(beta, [0] * (max_genus + 1))
             for g in range(h, max_genus + 1):
                 s[g] += n * rows[h][g]
-    acc = {}  # class -> genus vector of N_g
+    acc = {}  # class -> E_g N_g
     for beta, s in vectors.items():
         for k in range(1, degree_order // bps.degree(beta) + 1):
             t = acc.setdefault(tuple(k * c for c in beta), [0] * (max_genus + 1))
-            for g, (scale, c) in enumerate(zip(_multicover_scales(k, max_genus + 1), s)):
-                if c:
-                    t[g] += scale * c
+            t[0] += s[0] // k**3
+            if max_genus:
+                t[1] += s[1] // k
+            for g in range(2, max_genus + 1):
+                t[g] += k ** (2 * g - 3) * s[g]
     # every (g, k beta) lies in the window: write the entries unchecked
     gw = InvariantTable(GW, bps.rank, bps.degree_weights, max_genus, degree_order)
-    gw.entries = {(g, beta): c for beta, t in acc.items() for g, c in enumerate(t) if c}
+    gw.entries = {
+        (g, beta): Fraction(c, e)
+        for beta, t in acc.items()
+        for g, (c, e) in enumerate(zip(t, denominators))
+        if c
+    }
     return gw
 
 

@@ -1,11 +1,11 @@
 """Truncated formal power series in one variable over an exact coefficient ring.
 
-A QSeries stores the coefficients of q^0 .. q^order densely.  Coefficients may
-live in any exact commutative ring that supports +, -, * among themselves and
-with int/Fraction scalars: Fraction itself, LaurentPoly, or another QSeries in
-a different variable (nested series).  All arithmetic is exact; there is no
-floating point anywhere.  Inversion (inv, negative powers) is the exception:
-it needs a nonzero int or Fraction constant term, whatever the ring.
+A QSeries stores the coefficients of q^0 .. q^order densely.  Coefficients
+live in an exact commutative ring: int or Fraction, LaurentPoly, or another
+QSeries in a different variable (nested series); a coefficient of any other
+type, a float or a bool included, raises ValueError.  All arithmetic is
+exact; there is no floating point anywhere.  Inversion (inv, negative powers)
+needs a nonzero int or Fraction constant term, whatever the ring.
 
 Truncation is explicit: binary operations truncate to the minimum of the two
 operand orders and never extend a series silently.
@@ -28,12 +28,23 @@ class BadConstantTerm(ArithmeticError):
 
 
 class QSeries:
-    """sum(coeffs[i] * var**i for i <= order), an element of R[[var]]/var^(order+1)."""
+    """sum(coeffs[i] * var**i for i <= order), an element of R[[var]]/var^(order+1).
+
+    Every coefficient must be an int, a Fraction, a LaurentPoly or a QSeries
+    (exactly those types, so bools are refused); anything else raises
+    ValueError naming its index.
+    """
 
     def __init__(self, coeffs, order=None, var="q"):
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient to fix the ring")
+        if not _EXACT.issuperset(map(type, coeffs)):
+            i, c = next((i, c) for i, c in enumerate(coeffs) if type(c) not in _EXACT)
+            raise ValueError(
+                f"coefficient {i}: {type(c).__name__} {c!r} is not exact; "
+                "use an int, a Fraction, a LaurentPoly or a QSeries"
+            )
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -182,6 +193,10 @@ class QSeries:
                 acc = acc - (j * out[j]) * a[n - j]
             out.append(Fraction(1, n) * acc)
         return QSeries(out, self.order, self.var)
+
+
+# the coefficient types a QSeries takes; one set test per construction
+_EXACT = frozenset((int, Fraction, LaurentPoly, QSeries))
 
 
 def binomial_coeff(e, j):

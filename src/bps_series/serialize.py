@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 from .anomaly import GradedPoly, ZFunction
 from .gvtransform import BPS, GW, InvariantTable
@@ -143,9 +144,30 @@ def table_to_json(t):
     }
 
 
+_MISSING = object()
+
+
+def _entry_fault(i, key, v):
+    """Raise the SchemaError of entry i's field key holding v: missing, of a
+    type off the schema, negative, or a string that is not a rational."""
+    where = f"entries[{i}].{key}"
+    if v is _MISSING:
+        raise SchemaError(f"missing key: {where}")
+    if type(v) is str and key == "value":
+        raise SchemaError(f"{where}: {v!r} is not an integer or a p/q string")
+    if type(v) is int and key != "class":
+        raise SchemaError(f"{where}: {v} is negative")
+    _refuse(v, where)
+
+
 def table_from_json(d):
     """An InvariantTable; every fault of the document, header or entry,
-    raises SchemaError naming its path (entries[i] for a per-entry fault)."""
+    raises SchemaError naming its path (entries[i] for a per-entry fault).
+
+    Each entry is checked in one pass, in the order genus, class, value,
+    duplicates, bps integrality, cone and window, and written straight into
+    the table: a bps value as an int, a gw value as a Fraction, a zero value
+    not at all."""
     kind = _get(d, "", "kind", _kind)
     rank = _get(d, "", "rank", _count)
     weights = _get(d, "", "degree_weights", _counts)
@@ -153,21 +175,49 @@ def table_from_json(d):
         raise SchemaError("rank: 0 is not positive")
     if len(weights) != rank or not all(weights):
         raise SchemaError(f"degree_weights: need {rank} positive weights, got {weights}")
-    table = InvariantTable(
-        kind, rank, weights, _get(d, "", "max_genus", _count), _get(d, "", "max_degree", _count)
-    )
-    seen = {}
+    max_genus, max_degree = _get(d, "", "max_genus", _count), _get(d, "", "max_degree", _count)
+    table = InvariantTable(kind, rank, weights, max_genus, max_degree)
+    entries, seen, bps = table.entries, {}, kind == BPS
     for i, e in enumerate(_get(d, "", "entries", _list)):
-        where = f"entries[{i}]"
-        key = (_get(e, where, "genus", _count), tuple(_get(e, where, "class", _counts)))
-        value = _get(e, where, "value", rational)
-        _no_duplicate(seen, key, where)
-        if kind == BPS and value.denominator != 1:
-            raise SchemaError(f"{where}.value: {value} is not an integer in a bps table")
-        try:
-            table.set(*key, value)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        if type(e) is not dict:
+            raise SchemaError(f"entries[{i}]: expected an object")
+        g = e.get("genus", _MISSING)
+        if type(g) is not int or g < 0:
+            _entry_fault(i, "genus", g)
+        cls = e.get("class", _MISSING)
+        if type(cls) is not list:
+            _entry_fault(i, "class", cls)
+        for j, c in enumerate(cls):
+            if type(c) is not int or c < 0:
+                _entry_fault(i, f"class[{j}]", c)
+        cls = tuple(cls)
+        v = e.get("value", _MISSING)
+        if type(v) is int:
+            num, den = v, 1
+        elif type(v) is str and _RATIONAL.fullmatch(v):
+            num, _, den = v.partition("/")
+            num, den = int(num), int(den) if den else 1
+        else:
+            _entry_fault(i, "value", v)
+        key = (g, cls)
+        if key in seen:
+            raise SchemaError(f"entries[{i}]: duplicate of entries[{seen[key]}]")
+        seen[key] = i
+        if bps and num % den:
+            raise SchemaError(
+                f"entries[{i}].value: {Fraction(num, den)} is not an integer in a bps table"
+            )
+        if len(cls) != rank or not any(cls):
+            raise SchemaError(
+                f"entries[{i}]: {cls} is not a nonzero class of the rank-{rank} effective cone"
+            )
+        if g > max_genus or sum(map(mul, weights, cls)) > max_degree:
+            raise SchemaError(
+                f"entries[{i}]: ({g}, {cls}) lies outside the table window "
+                f"(max_genus={max_genus}, max_degree={max_degree})"
+            )
+        if num:
+            entries[key] = num // den if bps else Fraction(num, den)
     return table
 
 

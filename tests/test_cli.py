@@ -4,12 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bps_series import anomaly, cli, goettsche, gvtransform, serialize
 from bps_series.gvtransform import InvariantTable, gw_from_gv
 from bps_series.modular import divisor_sigma
+from strategies import table_cases
 
 
 def run(tmp_path, *argv):
@@ -495,3 +496,12 @@ def test_json_text_matches_json_dumps(value):
 def test_json_text_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+@given(table_cases())
+@example(("bps", 1, (1,), 0, 0, {}))
+@example(("gw", 3, (1, 2, 3), 4, 6, {}))
+def test_table_text_matches_json_dumps(case):
+    table = InvariantTable(*case)
+    text = json.dumps(serialize.table_to_json(table), indent=2) + "\n"
+    assert cli._table_text(table) == text

@@ -371,3 +371,19 @@ def test_oracle_case_with_rows_above_the_window():
     assert want[(0, (0, 2))] == Fraction(1, 4)
     assert want[(1, (0, 2))] == Fraction(1, 12) - Fraction(1, 2)
     assert not any(cls == (1, 0) for _, cls in want)
+
+
+def test_high_multiplicity_assembly_matches_oracle():
+    # degree 60 covers (1,) up to k = 60: the integer assembly carries genus 0
+    # over lcm(1..60)^3 and genus 1 over lcm(1..60), and genus 2 scales by k
+    entries = {
+        (0, (1,)): 7, (1, (1,)): -3, (2, (1,)): 2,
+        (0, (2,)): -5, (2, (3,)): 11, (1, (7,)): 4, (0, (59,)): 1,
+    }
+    bps = InvariantTable("bps", 1, (1,), 2, 60, entries)
+    gw = gw_from_gv(bps, 2)
+    assert (gw.max_genus, gw.max_degree) == (2, 60)
+    assert gw.entries == oracles.gw_from_bps(entries, (1,), 2, 60)
+    assert {g for g, _ in gw.entries} == {0, 1, 2}
+    assert (0, (60,)) in gw.entries and (2, (60,)) in gw.entries
+    assert all(type(v) is Fraction for v in gw.entries.values())

@@ -68,6 +68,22 @@ def test_inverse_round_trip(s):
     assert s**-2 * s**2 == one
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QSeries([1, 0.1], 3) * eta_product(-1, 3), "coefficient 1: float 0.1"),
+        (lambda: QSeries([1, 0.1]) ** 2, "coefficient 1: float 0.1"),
+        (lambda: QSeries([True]), "coefficient 0: bool True"),
+        (lambda: QSeries([1, 2]) * 0.5, "coefficient 0: float 0.5"),
+        (lambda: QSeries([Fraction(1), 2, "3"]), "coefficient 2: str '3'"),
+    ],
+    ids=["float-times-eta", "float-squared", "bool", "times-float", "str"],
+)
+def test_constructor_refuses_inexact_coefficients(build, message):
+    with pytest.raises(ValueError, match=f"^{message} is not exact"):
+        build()
+
+
 def test_inverse_needs_unit_constant():
     with pytest.raises(NonUnitConstantTerm):
         QSeries([0, 1]).inv()

@@ -23,6 +23,7 @@ from bps_series.serialize import (
     zfunctions_from_json,
     zfunctions_to_json,
 )
+from strategies import table_cases
 
 
 @given(st.fractions(max_denominator=10**6))
@@ -172,6 +173,17 @@ def test_poly_decoder_names_nested_paths():
          "degree_weights: need 2 positive weights, got [1]"),
         ("bps", lambda d: d.update(kind="gv"), "kind: 'gv' is not 'gw' or 'bps'"),
         ("gw", lambda d: d.update(kind=None), "kind: null not allowed"),
+        # int() alone would take the first four strings
+        *(
+            (kind, lambda d, v=v: d["entries"][0].update(value=v),
+             f"entries[0].value: {v!r} is not an integer or a p/q string")
+            for kind, v in [("bps", "1_000"), ("gw", " 12"), ("bps", "12 "), ("gw", "\u0661\u0662"),
+                            ("gw", "3/0"), ("bps", "6/-2")]
+        ),
+        ("bps", lambda d: d["entries"][0].update(value="2/4"),
+         "entries[0].value: 1/2 is not an integer in a bps table"),
+        ("bps", lambda d: d["entries"][0].update({"class": 5}), "entries[0].class: int not allowed"),
+        ("gw", lambda d: d["entries"].__setitem__(1, [1]), "entries[1]: expected an object"),
     ],
 )
 def test_table_faults_name_their_path(kind, change, message):
@@ -181,6 +193,48 @@ def test_table_faults_name_their_path(kind, change, message):
     with pytest.raises(SchemaError) as info:
         table_from_json(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, value, expected",
+    [
+        ("bps", "+3", 3),
+        ("bps", "4/2", 2),
+        ("gw", "4/2", Fraction(2)),
+        ("gw", "-6/4", Fraction(-3, 2)),
+        ("gw", 7, Fraction(7)),
+        ("bps", "-0", None),
+        ("gw", "-0", None),
+        ("bps", "0/5", None),
+        ("gw", "0/5", None),
+    ],
+)
+def test_table_value_strings(kind, value, expected):
+    # a bps value decodes to an int, a gw value to a Fraction; zero is dropped
+    doc = table_to_json(InvariantTable(kind, 1, (1,), 0, 1))
+    doc["entries"] = [{"genus": 0, "class": [1], "value": value}]
+    got = table_from_json(doc).entries.get((0, (1,)))
+    assert got == expected and type(got) is type(expected)
+
+
+def _encodings(v):
+    """JSON encodings of the rational v that the table decoder accepts."""
+    p, q = v.numerator, v.denominator
+    out = [str(v), f"{3 * p}/{3 * q}", f"+{p}/{q}" if p >= 0 else f"{p}/{q}"]
+    return out + [p] if q == 1 else out
+
+
+@given(table_cases(), st.data())
+def test_decoded_table_equals_constructed_table(case, data):
+    kind, rank, weights, max_genus, max_degree, entries = case
+    doc = table_to_json(InvariantTable(kind, rank, weights, max_genus, max_degree))
+    doc["entries"] = [
+        {"genus": g, "class": list(cls), "value": data.draw(st.sampled_from(_encodings(Fraction(v))))}
+        for (g, cls), v in entries.items()
+    ]
+    decoded = table_from_json(doc)
+    assert decoded == InvariantTable(kind, rank, weights, max_genus, max_degree, entries)
+    assert all(type(v) is (int if kind == "bps" else Fraction) for v in decoded.entries.values())
 
 
 def _monomial(d, i, j):
