@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import anomaly, goettsche, gvtransform, serialize, sl2
+from .laurent import LaurentPoly
 from .modular import eisenstein
 
 DEFAULT_Q_ORDER = 12
@@ -154,10 +156,33 @@ def _str_keys(d):
     return {str(k): v for k, v in sorted(d.items())}
 
 
+def _series_json(s, pad):
+    """_json_text(serialize.series_to_json(s)) without its final newline,
+    byte for byte, with pad before every line but the first.  A coefficient
+    is written as str(Fraction(c)); a LaurentPoly one as its sorted terms,
+    each from one template."""
+    i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
+    coeffs = []
+    for c in s.coeffs:
+        if not isinstance(c, LaurentPoly):
+            coeffs.append(f'"{Fraction(c)}"')
+            continue
+        exps = f",\n{i5}".join(["%d"] * c.nvars)
+        exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
+        term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
+        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
+        coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
+    coeffs = f",\n{i2}".join(coeffs)
+    return (
+        f'{{\n{i1}"var": {encode_basestring_ascii(s.var)},\n{i1}"order": {s.order:d},\n'
+        f'{i1}"coeffs": [\n{i2}{coeffs}\n{i1}]\n{pad}}}'
+    )
+
+
 def _series_text(series, fmt):
     if fmt == "tsv":
         return serialize.series_to_tsv(series)
-    return _json_text(serialize.series_to_json(series))
+    return _series_json(series, "") + "\n"
 
 
 def _report(payload, ok, failure):
@@ -266,7 +291,8 @@ def cmd_genus_series(args):
             for i, c in enumerate(series.coeffs):
                 lines.append(f"{g}\t{i}\t{serialize.frac_str(c)}")
         return "\n".join(lines) + "\n"
-    return _json_text({"genus_series": [serialize.series_to_json(s) for s in series_list]})
+    body = ",\n    ".join(_series_json(s, "    ") for s in series_list)
+    return f'{{\n  "genus_series": [\n    {body}\n  ]\n}}\n'
 
 
 def cmd_triple_product_check(args):
@@ -354,7 +380,11 @@ def _order(least):
     return order
 
 
-def build_parser():
+def build_parser(command=None):
+    """The bps-series parser.  When command names a subcommand, only that
+    subparser is built, which is all a command line starting with it needs;
+    otherwise all ten are, so that the top-level help and the invalid-choice
+    message list every subcommand."""
     parser = _Parser(
         prog="bps-series",
         description="Exact-arithmetic BPS / Gromov-Witten series toolkit",
@@ -362,73 +392,75 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
+        if command is not None and name != command:
+            return None
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out", help="output path (default: stdout)")
         return p
 
-    p = add("eisenstein", cmd_eisenstein, help="q-expansion of an Eisenstein series")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--order", type=_order(0), default=DEFAULT_Q_ORDER)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    if p := add("eisenstein", cmd_eisenstein, help="q-expansion of an Eisenstein series"):
+        p.add_argument("--weight", type=int, required=True)
+        p.add_argument("--order", type=_order(0), default=DEFAULT_Q_ORDER)
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = add("goettsche", cmd_goettsche, help="Hilbert scheme character series")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--betti", type=_betti, help="b0,b1,b2,b3,b4 of the surface")
-    which.add_argument(
-        "--refined",
-        action="store_true",
-        help="bigraded rational-elliptic-surface product instead of --betti",
-    )
-    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    if p := add("goettsche", cmd_goettsche, help="Hilbert scheme character series"):
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--betti", type=_betti, help="b0,b1,b2,b3,b4 of the surface")
+        which.add_argument(
+            "--refined",
+            action="store_true",
+            help="bigraded rational-elliptic-surface product instead of --betti",
+        )
+        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = add(
+    if p := add(
         "bps-rational-elliptic",
         cmd_bps_rational_elliptic,
         help="TSV of n_h(C+gF) for the rational elliptic surface",
-    )
-    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
+    ):
+        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
 
-    p = add("gv-from-gw", cmd_gv_from_gw, help="invert the transform: BPS from GW")
-    p.add_argument("--in", dest="infile", required=True, help="GW table JSON")
-    p.add_argument(
-        "--lambda-order",
-        type=int,
-        default=None,
-        help="default: largest the table supports (2*max_genus - 2)",
-    )
-    p.add_argument("--degree", type=int, default=None)
+    if p := add("gv-from-gw", cmd_gv_from_gw, help="invert the transform: BPS from GW"):
+        p.add_argument("--in", dest="infile", required=True, help="GW table JSON")
+        p.add_argument(
+            "--lambda-order",
+            type=int,
+            default=None,
+            help="default: largest the table supports (2*max_genus - 2)",
+        )
+        p.add_argument("--degree", type=int, default=None)
 
-    p = add("gw-from-gv", cmd_gw_from_gv, help="assemble GW series from BPS")
-    p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-    p.add_argument("--lambda-order", type=int, default=DEFAULT_LAMBDA_ORDER)
-    p.add_argument("--degree", type=int, default=None)
+    if p := add("gw-from-gv", cmd_gw_from_gv, help="assemble GW series from BPS"):
+        p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
+        p.add_argument("--lambda-order", type=int, default=DEFAULT_LAMBDA_ORDER)
+        p.add_argument("--degree", type=int, default=None)
 
-    p = add("roundtrip-check", cmd_roundtrip_check, help="BPS -> GW -> BPS identity")
-    p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-    p.add_argument("--lambda-order", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
+    if p := add("roundtrip-check", cmd_roundtrip_check, help="BPS -> GW -> BPS identity"):
+        p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
+        p.add_argument("--lambda-order", type=int, default=None)
+        p.add_argument("--degree", type=int, default=None)
 
-    p = add("anomaly-verify", cmd_anomaly_verify, help="check the recursion on a table")
-    p.add_argument("--table", required=True, help="ZFunction table JSON")
+    if p := add("anomaly-verify", cmd_anomaly_verify, help="check the recursion on a table"):
+        p.add_argument("--table", required=True, help="ZFunction table JSON")
 
-    p = add("anomaly-solve", cmd_anomaly_solve, help="solve one recursion step")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--table", required=True, help="prerequisite table JSON")
-    p.add_argument("--boundary", required=True, help="comma-separated rationals")
+    if p := add("anomaly-solve", cmd_anomaly_solve, help="solve one recursion step"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--table", required=True, help="prerequisite table JSON")
+        p.add_argument("--boundary", required=True, help="comma-separated rationals")
 
-    p = add("genus-series", cmd_genus_series, help="fiber-degree-1 genus expansions")
-    p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
-    p.add_argument("--q-order", type=_order(0), default=DEFAULT_Q_ORDER)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    if p := add("genus-series", cmd_genus_series, help="fiber-degree-1 genus expansions"):
+        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
+        p.add_argument("--q-order", type=_order(0), default=DEFAULT_Q_ORDER)
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = add("triple-product-check", cmd_triple_product_check, help="resummation identity")
-    p.add_argument("--lambda-order", type=_order(2), default=DEFAULT_LAMBDA_ORDER)
-    p.add_argument("--q-order", type=_order(2), default=DEFAULT_Q_ORDER)
+    if p := add("triple-product-check", cmd_triple_product_check, help="resummation identity"):
+        p.add_argument("--lambda-order", type=_order(2), default=DEFAULT_LAMBDA_ORDER)
+        p.add_argument("--q-order", type=_order(2), default=DEFAULT_Q_ORDER)
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def _glue_boundary(argv):
@@ -447,7 +479,8 @@ def _glue_boundary(argv):
 def main(argv=None):
     code, error = 0, None
     try:
-        args = build_parser().parse_args(_glue_boundary(sys.argv[1:] if argv is None else argv))
+        argv = _glue_boundary(sys.argv[1:] if argv is None else argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         try:
             text = args.func(args)
         except Exception as exc:

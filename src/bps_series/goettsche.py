@@ -10,11 +10,18 @@ can be checked against each other:
   * nakajima_assembly: the partition-indexed sum of symmetric-power
     characters that the product formulas resum.
 
-The two product formulas (and the one-variable product in
-bps_rational_elliptic) are spec lists handed to the single Euler-product
-kernel qseries.geom_factor_product.  sym_power_series and nakajima_assembly
-expand their factors by the binomial series instead and never call the
-kernel, so the assembly stays an independent check of it.
+goettsche_series and the one-variable product in bps_rational_elliptic are
+spec lists handed to the single Euler-product kernel
+qseries.geom_factor_product.  The refined product is not: with a = tL tR and
+b = tL / tR it factors as A(a) A(b), where
+
+    A(x) = prod_n 1 / ((1 - x q^n)(1 - x^(-1) q^n)(1 - q^n)^4),
+
+so refined_goettsche_res takes the integer layers of A from one call of the
+kernel's core qseries.euler_int_layers and multiplies them out.
+sym_power_series and nakajima_assembly expand their factors by the binomial
+series instead and never call the kernel, so the assembly stays an
+independent check of it.
 
 All characters are dimension-normalized: a class of cohomological degree d on
 an m-fold sits at weight t^(d-m) (so 2H = d - m), which makes every product
@@ -32,8 +39,10 @@ the prefactor multiplying the product side is +1/u, the expansion of
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .laurent import LaurentPoly
-from .qseries import QSeries, binomial_coeff, geom_factor_product
+from .qseries import QSeries, binomial_coeff, euler_int_layers, geom_factor_product
 from .sl2 import bps_from_character, u_expand
 
 SIGN_CONVENTION = (
@@ -130,19 +139,27 @@ def refined_goettsche_res(g_max):
     """Bigraded Hilbert scheme series for the rational elliptic surface:
 
     prod_n 1 / ((1 - (tL tR)^(-1) q^n)(1 - tL tR q^n)
-                (1 - tL tR^(-1) q^n)(1 - tL^(-1) tR q^n)(1 - q^n)^8).
+                (1 - tL tR^(-1) q^n)(1 - tL^(-1) tR q^n)(1 - q^n)^8),
+
+    built as A(a) A(b) with a = tL tR and b = tL / tR: layer N is
+    sum_i A_i(a) A_(N-i)(b) over int, and a^x b^y = tL^(x+y) tR^(x-y).
     """
-    return geom_factor_product(
-        [
-            ((-1, -1), 1, -1),
-            ((1, 1), 1, -1),
-            ((1, -1), 1, -1),
-            ((-1, 1), 1, -1),
-            ((0, 0), 1, -8),
-        ],
-        g_max,
-        nvars=2,
-    )
+    half = [
+        list(layer.items())
+        for layer in euler_int_layers([((1,), 1, -1), ((-1,), 1, -1), ((0,), 1, -4)], g_max, 1)
+    ]
+    layers = []
+    for n in range(g_max + 1):
+        acc = {}
+        get = acc.get
+        for i in range(n + 1):
+            right = half[n - i]
+            for (x,), ca in half[i]:
+                for (y,), cb in right:
+                    key = (x + y, x - y)
+                    acc[key] = get(key, 0) + ca * cb
+        layers.append(LaurentPoly._of({e: Fraction(c) for e, c in acc.items() if c}, 2))
+    return QSeries(layers, g_max)
 
 
 def sym_power_series(c, n_max):

@@ -175,6 +175,21 @@ def super_sym_layers(
     return [{e: c for e, c in lay.items() if c} for lay in layers]
 
 
+def refined_product_layers(q_order: int) -> list[dict[tuple[int, int], int]]:
+    """q-layers {(tL exponent, tR exponent): coefficient} of
+    prod_n 1/((1 - (tL tR)^(+-1) q^n)(1 - (tL/tR)^(+-1) q^n)(1 - q^n)^8),
+    multiplied out one geometric factor at a time."""
+    monomials = [(1, 1), (-1, -1), (1, -1), (-1, 1)] + [(0, 0)] * 8
+    layers: list[dict[tuple[int, int], int]] = [{(0, 0): 1}] + [{} for _ in range(q_order)]
+    for n in range(1, q_order + 1):
+        for x, y in monomials:
+            # times 1/(1 - m q^n): P_d += m * P_(d-n), with P_(d-n) already updated
+            for d in range(n, q_order + 1):
+                for (a, b), c in layers[d - n].items():
+                    layers[d][a + x, b + y] = layers[d].get((a + x, b + y), 0) + c
+    return layers
+
+
 def triple_product_rhs(lambda_order: int, q_order: int) -> list[list[Fraction]]:
     """(lam^2 / (2 - 2 cos lam)) prod_n (1-q^n)^4 / (1 - 2 cos(lam) q^n + q^(2n))^2.
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from bps_series import anomaly, cli, goettsche, gvtransform, serialize
 from bps_series.gvtransform import InvariantTable, gw_from_gv
+from bps_series.laurent import LaurentPoly
 from bps_series.modular import divisor_sigma
-from strategies import table_cases
+from bps_series.qseries import QSeries
+from strategies import series_cases, table_cases
 
 
 def run(tmp_path, *argv):
@@ -432,6 +436,42 @@ def test_help_exits_cleanly(capsys):
     assert all(name in out for name in SUBCOMMANDS)
 
 
+# a shortest command line each subcommand parses; the files need not exist
+MINIMAL_ARGV = {
+    "eisenstein": ["--weight", "4"],
+    "goettsche": ["--refined"],
+    "bps-rational-elliptic": [],
+    "gv-from-gw": ["--in", "gw.json"],
+    "gw-from-gv": ["--in", "bps.json"],
+    "roundtrip-check": ["--in", "bps.json"],
+    "anomaly-verify": ["--table", "z.json"],
+    "anomaly-solve": ["--n", "1", "--g", "0", "--table", "z.json", "--boundary", "1"],
+    "genus-series": [],
+    "triple-product-check": [],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_one_subparser_parses_as_the_full_parser(command, capsys):
+    one, full = cli.build_parser(command), cli.build_parser()
+    argv = [command, *MINIMAL_ARGV[command]]
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: bps-series {command} ")
+    other = next(name for name in SUBCOMMANDS if name != command)
+    with pytest.raises(cli.UsageError, match="invalid choice"):
+        one.parse_args([other, *MINIMAL_ARGV[other]])
+
+
+@pytest.mark.parametrize("first", ["--help", "-x", "no-such-command", "Eisenstein"])
+def test_parser_builds_every_subcommand_unless_one_is_named(first):
+    assert cli.build_parser(first).format_help() == cli.build_parser().format_help()
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -505,3 +545,20 @@ def test_table_text_matches_json_dumps(case):
     table = InvariantTable(*case)
     text = json.dumps(serialize.table_to_json(table), indent=2) + "\n"
     assert cli._table_text(table) == text
+
+
+@given(series_cases())
+@example(QSeries([LaurentPoly({(1, -1): Fraction(-3, 7)}, 2), LaurentPoly(nvars=2)], 3, "lam"))
+@example(QSeries([LaurentPoly({(2,): -1}), LaurentPoly()], 1))
+@example(QSeries([LaurentPoly({(): 2}, 0), LaurentPoly(nvars=0)], 1))
+def test_series_text_matches_json_dumps(series):
+    assert cli._series_text(series, "json") == cli._json_text(serialize.series_to_json(series))
+
+
+@given(st.lists(series_cases(), min_size=1, max_size=3))
+def test_genus_series_document_matches_json_dumps(series_list):
+    args = argparse.Namespace(gmax=0, q_order=0, format="json")
+    with patch.object(anomaly, "genus_series_n1", lambda gmax, q_order: series_list):
+        text = cli.cmd_genus_series(args)
+    doc = {"genus_series": [serialize.series_to_json(s) for s in series_list]}
+    assert text == cli._json_text(doc)

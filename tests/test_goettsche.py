@@ -19,7 +19,7 @@ from bps_series.goettsche import (
     sym_power_series,
 )
 from bps_series.laurent import LaurentPoly
-from bps_series.qseries import eta_product
+from bps_series.qseries import eta_product, geom_factor_product
 
 
 def test_betti_vector_validation():
@@ -173,3 +173,21 @@ def test_bps_table_matches_independent_expansion():
         row = {h: n for (gg, h), n in table.items() if gg == g}
         assert row == expect[g]
 
+
+
+REFINED_SPECS = [((-1, -1), 1, -1), ((1, 1), 1, -1), ((1, -1), 1, -1), ((-1, 1), 1, -1), ((0, 0), 1, -8)]
+
+
+def test_refined_outer_product_matches_the_two_variable_kernel():
+    """A(tL tR) A(tL/tR) equals the five-spec product of the Euler kernel,
+    term for term, with every coefficient a Fraction."""
+    for g in range(21):
+        got = refined_goettsche_res(g)
+        want = geom_factor_product(REFINED_SPECS, g, 2)
+        assert got.order == g and [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+        assert all(type(v) is Fraction for c in got.coeffs for v in c.terms.values())
+
+
+def test_refined_product_matches_oracle():
+    got = refined_goettsche_res(10)
+    assert [c.terms for c in got.coeffs] == oracles.refined_product_layers(10)
