@@ -1,7 +1,10 @@
 """Batch command-line front end.
 
 Every computation is a subcommand with explicit truncation orders, JSON/TSV
-output, and deterministic bytes for a fixed invocation.
+output, and deterministic bytes for a fixed invocation.  This module parses
+the command line and maps results and faults to output and exit codes; the
+writers of every output document live in `serialize`, and a report or exit-1
+payload is written as json.dumps(payload, indent=2).
 
 `main` is the only code that turns a fault into an exit code, and every
 nonzero exit writes exactly one `error:` line to stderr:
@@ -22,11 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from . import anomaly, goettsche, gvtransform, serialize, sl2
-from .laurent import LaurentPoly
 from .modular import eisenstein
 
 DEFAULT_Q_ORDER = 12
@@ -62,88 +62,7 @@ def _emit(text, path):
 
 
 def _json_text(obj):
-    """json.dumps(obj, indent=2) + "\n", byte for byte, for obj built of
-    dicts with str keys, lists, str, int, bool and None; any other type
-    raises TypeError.  json.dumps takes its pure-Python encoder whenever an
-    indent is set, which is about twice as slow as this writer."""
-    out = []
-    _write_json(obj, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(obj, newline, write):
-    """Write obj at the indentation that newline ("\n" plus two spaces per
-    level) carries."""
-    kind = type(obj)
-    if kind is str:
-        write(encode_basestring_ascii(obj))
-    elif kind is int:
-        write(int.__repr__(obj))
-    elif obj is None or kind is bool:
-        write("null" if obj is None else "true" if obj else "false")
-    elif kind is list:
-        if not obj:
-            write("[]")
-            return
-        inner = newline + "  "
-        if all(type(x) is int for x in obj):
-            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for x in obj:
-            write(sep)
-            _write_json(x, inner, write)
-            sep = "," + inner
-        write(newline + "]")
-    elif kind is dict:
-        if not obj:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, x in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(x, inner, write)
-            sep = "," + inner
-        write(newline + "}")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-_TABLE = """{
-  "rank": %d,
-  "degree_weights": [
-    %s
-  ],
-  "kind": "%s",
-  "max_genus": %d,
-  "max_degree": %d,
-  "entries": %s
-}
-"""
-_TABLE_ENTRY = """    {
-      "genus": %d,
-      "class": [
-        %s
-      ],
-      "value": "%s"
-    }"""
-
-
-def _table_text(t):
-    """_json_text(serialize.table_to_json(t)), byte for byte, written entry
-    by entry from one template; a value is written as str(v), which is the
-    "p/q" string of an int or a Fraction."""
-    entries = ",\n".join(
-        _TABLE_ENTRY % (g, ",\n        ".join(map(str, cls)), t.entries[g, cls])
-        for g, cls in sorted(t.entries)
-    )
-    weights = ",\n    ".join(map(str, t.degree_weights))
-    body = f"[\n{entries}\n  ]" if entries else "[]"
-    return _TABLE % (t.rank, weights, t.kind, t.max_genus, t.max_degree, body)
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_json(path):
@@ -156,33 +75,10 @@ def _str_keys(d):
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def _series_json(s, pad):
-    """_json_text(serialize.series_to_json(s)) without its final newline,
-    byte for byte, with pad before every line but the first.  A coefficient
-    is written as str(Fraction(c)); a LaurentPoly one as its sorted terms,
-    each from one template."""
-    i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
-    coeffs = []
-    for c in s.coeffs:
-        if not isinstance(c, LaurentPoly):
-            coeffs.append(f'"{Fraction(c)}"')
-            continue
-        exps = f",\n{i5}".join(["%d"] * c.nvars)
-        exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
-        term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
-        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
-        coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
-    coeffs = f",\n{i2}".join(coeffs)
-    return (
-        f'{{\n{i1}"var": {encode_basestring_ascii(s.var)},\n{i1}"order": {s.order:d},\n'
-        f'{i1}"coeffs": [\n{i2}{coeffs}\n{i1}]\n{pad}}}'
-    )
-
-
 def _series_text(series, fmt):
     if fmt == "tsv":
         return serialize.series_to_tsv(series)
-    return _series_json(series, "") + "\n"
+    return serialize.series_to_json(series) + "\n"
 
 
 def _report(payload, ok, failure):
@@ -217,12 +113,12 @@ def cmd_gv_from_gw(args):
     lambda_order = args.lambda_order
     if lambda_order is None:
         lambda_order = 2 * gw.max_genus - 2
-    return _table_text(gvtransform.gv_from_gw(gw, lambda_order, args.degree))
+    return serialize.table_text(gvtransform.gv_from_gw(gw, lambda_order, args.degree))
 
 
 def cmd_gw_from_gv(args):
     bps = serialize.table_from_json(_load_json(args.infile))
-    return _table_text(gvtransform.gw_from_gv(bps, args.lambda_order, args.degree))
+    return serialize.table_text(gvtransform.gw_from_gv(bps, args.lambda_order, args.degree))
 
 
 def cmd_roundtrip_check(args):
@@ -252,9 +148,7 @@ def _report_to_json(report):
                 "n": e["n"],
                 "g": e["g"],
                 "ok": e["ok"],
-                "scaled_by": None
-                if e["scaled_by"] is None
-                else serialize.frac_str(e["scaled_by"]),
+                "scaled_by": None if e["scaled_by"] is None else serialize.frac_str(e["scaled_by"]),
                 "difference": None
                 if e["difference"] is None
                 else serialize.poly_to_json(e["difference"]),
@@ -285,32 +179,30 @@ def cmd_anomaly_solve(args):
 
 def cmd_genus_series(args):
     series_list = anomaly.genus_series_n1(args.gmax, args.q_order)
-    if args.format == "tsv":
-        lines = ["# g\tpower\tcoeff"]
-        for g, series in enumerate(series_list):
-            for i, c in enumerate(series.coeffs):
-                lines.append(f"{g}\t{i}\t{serialize.frac_str(c)}")
-        return "\n".join(lines) + "\n"
-    body = ",\n    ".join(_series_json(s, "    ") for s in series_list)
-    return f'{{\n  "genus_series": [\n    {body}\n  ]\n}}\n'
+    if args.format == "json":
+        return serialize.genus_series_to_json(series_list)
+    rows = [
+        f"{g}\t{row}"
+        for g, series in enumerate(series_list)
+        for row in serialize.series_to_tsv(series).splitlines()
+    ]
+    return "\n".join(["# g\tpower\tcoeff", *rows]) + "\n"
 
 
 def cmd_triple_product_check(args):
     report = anomaly.triple_product_check(args.lambda_order, args.q_order)
+    m = report["first_mismatch"]
     payload = {
         "ok": report["ok"],
         "lambda_order": report["lambda_order"],
         "q_order": report["q_order"],
-        "first_mismatch": None,
-    }
-    if report["first_mismatch"] is not None:
-        m = report["first_mismatch"]
-        payload["first_mismatch"] = {
+        "first_mismatch": None if m is None else {
             "lambda": m["lambda"],
             "q": m["q"],
             "lhs": serialize.frac_str(m["lhs"]),
             "rhs": serialize.frac_str(m["rhs"]),
-        }
+        },
+    }
     return _report(payload, report["ok"], "triple product identity fails; see first_mismatch")
 
 
@@ -426,21 +318,21 @@ def build_parser(command=None):
         p.add_argument("--in", dest="infile", required=True, help="GW table JSON")
         p.add_argument(
             "--lambda-order",
-            type=int,
+            type=_order(-2),
             default=None,
             help="default: largest the table supports (2*max_genus - 2)",
         )
-        p.add_argument("--degree", type=int, default=None)
+        p.add_argument("--degree", type=_order(0), default=None)
 
     if p := add("gw-from-gv", cmd_gw_from_gv, help="assemble GW series from BPS"):
         p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-        p.add_argument("--lambda-order", type=int, default=DEFAULT_LAMBDA_ORDER)
-        p.add_argument("--degree", type=int, default=None)
+        p.add_argument("--lambda-order", type=_order(-2), default=DEFAULT_LAMBDA_ORDER)
+        p.add_argument("--degree", type=_order(0), default=None)
 
     if p := add("roundtrip-check", cmd_roundtrip_check, help="BPS -> GW -> BPS identity"):
         p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-        p.add_argument("--lambda-order", type=int, default=None)
-        p.add_argument("--degree", type=int, default=None)
+        p.add_argument("--lambda-order", type=_order(-2), default=None)
+        p.add_argument("--degree", type=_order(0), default=None)
 
     if p := add("anomaly-verify", cmd_anomaly_verify, help="check the recursion on a table"):
         p.add_argument("--table", required=True, help="ZFunction table JSON")

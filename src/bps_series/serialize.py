@@ -1,18 +1,22 @@
-"""JSON and TSV codecs.
+"""JSON and TSV codecs: the writers of every CLI output and the decoders of
+its inputs.
 
-Rationals cross the wire as exact "p/q" strings (never floats); every emitter
-sorts its keys so repeated runs produce byte-identical output.  The decoders
-of CLI inputs (tables, numerator polynomials, Z-function lists) are strict:
-a rational is a JSON int or a "p/q" string, a count is a JSON int, and any
-other value or a missing key raises SchemaError naming its JSON path.  Counts
-are >= 0.  A table's entries, a numerator's monomials and a Z-function
-list's items are checked one by one with their path, duplicates included.
+Rationals cross the wire as exact "p/q" strings (frac_str refuses any value
+that is not an int or a Fraction); keys come in a fixed order and terms and
+entries sorted, so repeated runs produce byte-identical output.  Series
+writers return JSON text; tables and numerators are inputs too, so
+*_to_json build their documents.  The decoders of CLI inputs are strict: a
+rational is a JSON int or a "p/q" string, a count is a JSON int >= 0, and
+any other value or a missing key raises SchemaError naming its JSON path.
+A table's entries, a numerator's monomials and a Z-function list's items
+are checked one by one with their path, duplicates included.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from .anomaly import GradedPoly, ZFunction
@@ -99,34 +103,48 @@ def _get(d, path, key, decode):
 
 
 def frac_str(x):
-    return str(Fraction(x))
+    """The "p/q" string of an int or a Fraction; a value of any other type
+    (a float or a bool above all) raises TypeError."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"{type(x).__name__} {x!r} is not an int or a Fraction")
+    return str(x)
 
 
-def coeff_to_json(c):
-    """A series coefficient: Fraction -> "p/q"; LaurentPoly -> sorted term list."""
-    if isinstance(c, LaurentPoly):
-        return [
-            {"exps": list(exps), "coeff": frac_str(c.terms[exps])}
-            for exps in sorted(c.terms)
-        ]
-    return frac_str(c)
+def series_to_json(s, pad=""):
+    """A str: json.dumps({"var", "order", "coeffs"}, indent=2) without the
+    final newline, with pad before every line but the first.  A coefficient
+    is its "p/q" string; a LaurentPoly one the list of its sorted terms
+    {"exps": [...], "coeff": "p/q"}, each written from one template."""
+    i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
+    coeffs = []
+    for c in s.coeffs:
+        if not isinstance(c, LaurentPoly):
+            coeffs.append(f'"{frac_str(c)}"')
+            continue
+        exps = f",\n{i5}".join(["%d"] * c.nvars)
+        exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
+        term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
+        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
+        coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
+    coeffs = f",\n{i2}".join(coeffs)
+    return (
+        f'{{\n{i1}"var": {encode_basestring_ascii(s.var)},\n{i1}"order": {s.order:d},\n'
+        f'{i1}"coeffs": [\n{i2}{coeffs}\n{i1}]\n{pad}}}'
+    )
 
 
-def series_to_json(s):
-    return {
-        "var": s.var,
-        "order": s.order,
-        "coeffs": [coeff_to_json(c) for c in s.coeffs],
-    }
+def genus_series_to_json(series_list):
+    """json.dumps({"genus_series": [series, ...]}, indent=2) + "\n"."""
+    body = ",\n    ".join(series_to_json(s, "    ") for s in series_list)
+    return f'{{\n  "genus_series": [\n    {body}\n  ]\n}}\n'
 
 
 def series_to_tsv(s):
     """One row per power: power <TAB> coefficient."""
-    lines = []
-    for i, c in enumerate(s.coeffs):
-        text = repr(c) if isinstance(c, LaurentPoly) else frac_str(c)
-        lines.append(f"{i}\t{text}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{i}\t{repr(c) if isinstance(c, LaurentPoly) else frac_str(c)}\n"
+        for i, c in enumerate(s.coeffs)
+    )
 
 
 def table_to_json(t):
@@ -142,6 +160,38 @@ def table_to_json(t):
         "max_degree": t.max_degree,
         "entries": entries,
     }
+
+
+_TABLE = """{
+  "rank": %d,
+  "degree_weights": [
+    %s
+  ],
+  "kind": "%s",
+  "max_genus": %d,
+  "max_degree": %d,
+  "entries": %s
+}
+"""
+_TABLE_ENTRY = """    {
+      "genus": %d,
+      "class": [
+        %s
+      ],
+      "value": "%s"
+    }"""
+
+
+def table_text(t):
+    """json.dumps(table_to_json(t), indent=2) + "\n", byte for byte, from one
+    per-entry template; a value is written as str(v), its "p/q" string."""
+    entries = ",\n".join(
+        _TABLE_ENTRY % (g, ",\n        ".join(map(str, cls)), t.entries[g, cls])
+        for g, cls in sorted(t.entries)
+    )
+    weights = ",\n    ".join(map(str, t.degree_weights))
+    body = f"[\n{entries}\n  ]" if entries else "[]"
+    return _TABLE % (t.rank, weights, t.kind, t.max_genus, t.max_degree, body)
 
 
 _MISSING = object()

@@ -249,6 +249,26 @@ def test_gv_from_gw_window_preconditions():
         gv_from_gw(gw, 0, degree_order=9)
 
 
+@pytest.mark.parametrize(
+    "transform, lambda_order, degree_order, message",
+    [
+        (gw_from_gv, -3, None, "lambda_order must be >= -2, got -3"),
+        (gw_from_gv, 2, -1, "degree_order must be >= 0, got -1"),
+        (gv_from_gw, -4, None, "lambda_order must be >= -2, got -4"),
+        (gv_from_gw, 2, -2, "degree_order must be >= 0, got -2"),
+        (roundtrip_check, -3, None, "lambda_order must be >= -2, got -3"),
+        (roundtrip_check, 2, -1, "degree_order must be >= 0, got -1"),
+    ],
+    ids=["gw-lambda", "gw-degree", "gv-lambda", "gv-degree", "roundtrip-lambda", "roundtrip-degree"],
+)
+def test_transform_windows_name_themselves(transform, lambda_order, degree_order, message):
+    kind = "gw" if transform is gv_from_gw else "bps"
+    table = InvariantTable(kind, 1, (1,), 2, 3, {(0, (1,)): 1})
+    with pytest.raises(ValueError) as exc_info:
+        transform(table, lambda_order, degree_order)
+    assert str(exc_info.value) == message
+
+
 def bps_tables(max_rank=2, max_degree=4, max_genus=3):
     def build(draw_data):
         rank, entries = draw_data

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bps_series.anomaly import GradedPoly, ZFunction, reference_solutions
@@ -19,6 +19,7 @@ from bps_series.serialize import (
     series_to_json,
     series_to_tsv,
     table_from_json,
+    table_text,
     table_to_json,
     zfunctions_from_json,
     zfunctions_to_json,
@@ -36,20 +37,25 @@ def test_fraction_strings_never_floats():
     assert frac_str(5) == "5"
 
 
+@pytest.mark.parametrize("value", [0.1, True, "1/2"])
+def test_fraction_strings_refuse_other_types(value):
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        frac_str(value)
+
+
 def test_series_round_trip_rational():
-    d = series_to_json(eta_product(-12, 8))
+    d = json.loads(series_to_json(eta_product(-12, 8)))
     assert d == {
         "var": "q",
         "order": 8,
         "coeffs": ["1", "12", "90", "520", "2535", "10908", "42614", "153960", "521235"],
     }
-    assert json.loads(json.dumps(d)) == d
 
 
 def test_series_round_trip_laurent_coefficients():
     t = LaurentPoly({(1, -1): Fraction(1, 2), (0, 0): 3}, nvars=2)
     s = QSeries([LaurentPoly.const(1, nvars=2), t], var="q")
-    d = series_to_json(s)
+    d = json.loads(series_to_json(s))
     # terms sorted by exponent tuple, coefficients as exact strings
     assert d == {
         "var": "q",
@@ -59,7 +65,6 @@ def test_series_round_trip_laurent_coefficients():
             [{"exps": [0, 0], "coeff": "3"}, {"exps": [1, -1], "coeff": "1/2"}],
         ],
     }
-    assert json.loads(json.dumps(d)) == d
 
 
 def test_series_tsv_layout():
@@ -78,6 +83,15 @@ def test_table_round_trip_and_determinism():
         "bps", 2, (1, 2), 3, 5, {(0, (1, 0)): 3, (1, (1, 2)): -2}
     )
     assert json.dumps(table_to_json(reordered)) == json.dumps(d)
+
+
+@given(table_cases())
+@example(("bps", 1, (1,), 0, 0, {}))
+@example(("gw", 3, (1, 2, 3), 4, 6, {}))
+def test_table_text_matches_json_dumps(case):
+    table = InvariantTable(*case)
+    text = json.dumps(table_to_json(table), indent=2) + "\n"
+    assert table_text(table) == text
 
 
 def test_gw_table_keeps_rationals():
