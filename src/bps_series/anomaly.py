@@ -18,12 +18,12 @@ assuming it.  All remaining equations must then hold literally and exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import factorial
 
 from .laurent import coefficient, collect, mul_terms
 from .modular import eisenstein, zeta_even_ratio
-from .qseries import QSeries, eta_product, euler_int_layers
+from .qseries import QSeries, eta_product, euler_int_layers, require_int
 
 
 class WeightMismatch(ValueError):
@@ -420,6 +420,9 @@ def genus_series_n1(g_max, q_order):
     lambda order 2 g_max: Z_g = Z_0 * sum_m [q^m lam^(2g)] rhs * q^m.
     triple_product_check verifies that product against the exponential.
     """
+    require_int(g_max=g_max, q_order=q_order)
+    if g_max < 0 or q_order < 0:
+        raise ValueError(f"need g_max >= 0 and q_order >= 0, got {g_max} and {q_order}")
     z0 = realize(GradedPoly.e4(), 1, q_order)
     rhs = triple_product_rhs(2 * g_max, q_order)
     return [
@@ -431,24 +434,32 @@ def genus_series_n1(g_max, q_order):
 def triple_product_rhs(lambda_order, q_order):
     """The product side of triple_product_check, built in t = e^(i lam) as
     described there: a q-series (order q_order) of lam-series (order
-    lambda_order)."""
-    evens = range(0, lambda_order + 1, 2)
-    # (2 - 2 cos lam)/lam^2 = sum_j 2 (-1)^j lam^(2j) / (2j+2)! = 1 - lam^2/12 + ...
-    pref_denom = [Fraction(0)] * (lambda_order + 1)
-    for e in evens:
-        pref_denom[e] = Fraction(2 * (-1) ** (e // 2), factorial(e + 2))
-    prefactor = QSeries(pref_denom, var="lam").inv()
+    lambda_order).  Each q^m layer is computed in y = lam^2, to order
+    lambda_order // 2, and then written to the lam-series with its y^j
+    coefficient at lam^(2j) and 0 at every odd power of lam."""
+    require_int(lambda_order=lambda_order, q_order=q_order)
+    if lambda_order < 0 or q_order < 0:
+        raise ValueError(
+            f"need lambda_order >= 0 and q_order >= 0, got {lambda_order} and {q_order}"
+        )
+    half = lambda_order // 2
+    # (2 - 2 cos lam)/lam^2 = sum_j 2 (-1)^j y^j / (2j+2)! = 1 - y/12 + ...
+    prefactor = QSeries(
+        [Fraction(2 * (-1) ** j, factorial(2 * j + 2)) for j in range(half + 1)], var="y"
+    ).inv()
 
     layers = euler_int_layers(
         [((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1
     )
     rhs_coeffs = []
     for layer in layers:
-        at_t = [Fraction(0)] * (lambda_order + 1)
-        for e in evens:
-            moment = sum(c * k**e for (k,), c in layer.items())
-            at_t[e] = Fraction((-1) ** (e // 2) * moment, factorial(e))
-        rhs_coeffs.append(QSeries(at_t, var="lam") * prefactor)
+        moments = [sum(c * k ** (2 * j) for (k,), c in layer.items()) for j in range(half + 1)]
+        at_t = QSeries(
+            [Fraction((-1) ** j * mo, factorial(2 * j)) for j, mo in enumerate(moments)], var="y"
+        )
+        in_lam = [Fraction(0)] * (lambda_order + 1)
+        in_lam[::2] = (at_t * prefactor).coeffs
+        rhs_coeffs.append(QSeries(in_lam, var="lam"))
     return QSeries(rhs_coeffs, var="q")
 
 
@@ -473,49 +484,46 @@ def triple_product_check(lambda_order, q_order):
         (-1)^j / (2j)! * sum_k c_{m,k} k^(2j),
 
     odd powers of lam vanish, and each q^m layer is then multiplied by the
-    prefactor.  The two sides stay independent: the left side is built from
-    eisenstein and zeta_even_ratio, which the right side never calls, and
-    the right side from the Euler kernel, which the left side never calls,
-    so a fault in either shows up as a mismatch.
+    prefactor.  Both sides are built as series in y = lam^2, to order
+    lambda_order // 2; the right side comes back in powers of lam.  The
+    check compares the left side's y^j coefficient with the right side's
+    lam^(2j) one, requires every odd lam^(2j+1) slot of the right side to be
+    0, and reports the first mismatch at its power of lam.  The two sides
+    stay independent: the left side is built from eisenstein and
+    zeta_even_ratio, which the right side never calls, and the right side
+    from the Euler kernel, which the left side never calls, so a fault in
+    either shows up as a mismatch.
     """
+    require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 2 or q_order < 2:
         raise ValueError("orders must be >= 2")
     k_max = lambda_order // 2
 
-    lam_zero = QSeries.zero(lambda_order, var="lam")
+    y_zero = QSeries.zero(k_max, var="y")
 
     # left side: exp of the q^0 part times exp of the rest (q-major)
-    x0 = lam_zero
-    rest_coeffs = [lam_zero for _ in range(q_order + 1)]
+    x0 = y_zero
+    rest_coeffs = [y_zero for _ in range(q_order + 1)]
     for k in range(1, k_max + 1):
         weight = 2 * zeta_even_ratio(k) / k
         e_series = eisenstein(2 * k, q_order)
-        lam_power = QSeries.zero(lambda_order, var="lam")
-        if 2 * k <= lambda_order:
-            lam_power.coeffs[2 * k] = Fraction(1)
-        x0 = x0 + weight * lam_power
+        y_power = QSeries.zero(k_max, var="y")
+        y_power.coeffs[k] = Fraction(1)
+        x0 = x0 + weight * y_power
         for m in range(1, q_order + 1):
-            rest_coeffs[m] = rest_coeffs[m] + (weight * e_series[m]) * lam_power
-    # keep the q-major series on the left: the lam-series factor then scales
+            rest_coeffs[m] = rest_coeffs[m] + (weight * e_series[m]) * y_power
+    # keep the q-major series on the left: the y-series factor then scales
     # every q-coefficient instead of transposing the nesting
     lhs = QSeries(rest_coeffs, var="q").exp() * x0.exp()
 
     rhs = triple_product_rhs(lambda_order, q_order)
 
     first_mismatch = None
-    for m in range(q_order + 1):
-        if lhs[m] == rhs[m]:
-            continue
-        for e in range(lambda_order + 1):
-            if lhs[m][e] != rhs[m][e]:
-                first_mismatch = {
-                    "lambda": e,
-                    "q": m,
-                    "lhs": lhs[m][e],
-                    "rhs": rhs[m][e],
-                }
-                break
-        break
+    for m, e in product(range(q_order + 1), range(lambda_order + 1)):
+        want = Fraction(0) if e % 2 else lhs[m][e // 2]
+        if rhs[m][e] != want:
+            first_mismatch = {"lambda": e, "q": m, "lhs": want, "rhs": rhs[m][e]}
+            break
     return {
         "ok": first_mismatch is None,
         "first_mismatch": first_mismatch,

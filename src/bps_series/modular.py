@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
-from .qseries import QSeries
+from .qseries import QSeries, require_int
 
 
 class BadWeight(ValueError):
@@ -27,6 +27,7 @@ _bernoulli_cache = [Fraction(1)]  # B_0
 def bernoulli(n):
     """Bernoulli number B_n (convention B_1 = -1/2), by the recurrence
     sum_{k=0}^{n} C(n+1, k) B_k = 0."""
+    require_int(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     while len(_bernoulli_cache) <= n:
@@ -73,6 +74,7 @@ def divisor_sigma(k, n):
 
 def eisenstein(weight, order):
     """E_weight(q) truncated at q^order, over exact rationals."""
+    require_int(weight=weight, order=order)
     if weight % 2 or weight < 2:
         raise BadWeight(f"weight must be even and >= 2, got {weight}")
     k = weight // 2
@@ -84,6 +86,7 @@ def eisenstein(weight, order):
 
 def zeta_even_ratio(k):
     """The exact rational zeta(2k)/(2pi)^{2k} = (-1)^{k+1} B_{2k} / (2 (2k)!)."""
+    require_int(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     return (-1) ** (k + 1) * bernoulli(2 * k) / (2 * factorial(2 * k))

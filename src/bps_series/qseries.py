@@ -8,13 +8,16 @@ exact; there is no floating point anywhere.  Inversion (inv, negative powers)
 needs a nonzero int or Fraction constant term, whatever the ring.
 
 Truncation is explicit: binary operations truncate to the minimum of the two
-operand orders and never extend a series silently.
+operand orders and never extend a series silently.  The product of two
+series whose coefficients are all int or Fraction is one integer
+convolution (_rational_product); every other ring multiplies term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .laurent import LaurentPoly
 
@@ -126,7 +129,10 @@ class QSeries:
         if not self.is_same_ring(other):
             return QSeries([c * other for c in self.coeffs], self.order, self.var)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        types = {*map(type, a), *map(type, b)}
+        if _RATIONAL.issuperset(types):
+            return QSeries(_rational_product(a, b, types == {int}), n, self.var)
         out = []
         for i in range(n + 1):
             acc = a[0] * b[i]
@@ -139,8 +145,7 @@ class QSeries:
         return QSeries([other * c for c in self.coeffs], self.order, self.var)
 
     def __pow__(self, e):
-        if not isinstance(e, int):
-            raise TypeError("series powers must be integers")
+        require_int(exponent=e)
         if e < 0:
             return self.inv() ** (-e)
         result = QSeries([self._ring_zero() + 1], self.order, self.var)
@@ -197,6 +202,35 @@ class QSeries:
 
 # the coefficient types a QSeries takes; one set test per construction
 _EXACT = frozenset((int, Fraction, LaurentPoly, QSeries))
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _rational_product(a, b, int_only):
+    """The coefficients of sum_i a_i q^i * sum_j b_j q^j through q^(len(a)-1),
+    for two equally long lists of ints and Fractions.
+
+    Each side is scaled to integers by the lcm of its denominators (da, db),
+    the integers are convolved, and each output coefficient is made once as
+    Fraction(acc, da * db), or left an int when both sides are all int.
+    """
+    da = lcm(*[x.denominator for x in a])
+    db = lcm(*[x.denominator for x in b])
+    ia = [x.numerator * (da // x.denominator) for x in a]
+    rb = [x.numerator * (db // x.denominator) for x in reversed(b)]
+    n = len(a) - 1
+    sums = [sum(map(mul, ia[: i + 1], rb[n - i :])) for i in range(n + 1)]
+    if int_only:
+        return sums
+    d = da * db
+    return [Fraction(acc, d) for acc in sums]
+
+
+def require_int(**named):
+    """Raise ValueError naming the first keyword whose value's type is not
+    int (a bool, a float or a Fraction, say)."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
 
 
 def binomial_coeff(e, j):

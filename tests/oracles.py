@@ -190,6 +190,17 @@ def refined_product_layers(q_order: int) -> list[dict[tuple[int, int], int]]:
     return layers
 
 
+def series_mul_fractions(a: list, b: list) -> list[Fraction]:
+    """The schoolbook product of two truncated series given by their int or
+    Fraction coefficient lists, through the shorter one's last power; every
+    term is a Fraction product and every coefficient a Fraction sum."""
+    n = min(len(a), len(b))
+    return [
+        sum((Fraction(a[j]) * Fraction(b[i - j]) for j in range(i + 1)), Fraction(0))
+        for i in range(n)
+    ]
+
+
 def triple_product_rhs(lambda_order: int, q_order: int) -> list[list[Fraction]]:
     """(lam^2 / (2 - 2 cos lam)) prod_n (1-q^n)^4 / (1 - 2 cos(lam) q^n + q^(2n))^2.
 

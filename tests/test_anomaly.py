@@ -240,7 +240,39 @@ def test_triple_product_rejects_tiny_orders():
         triple_product_check(6, 1)
 
 
-@pytest.mark.parametrize("lambda_order, q_order", [(8, 6), (10, 8), (12, 4)])
+@pytest.mark.parametrize("lambda_order, q_order", [(7, 5), (9, 4)])
+def test_triple_product_identity_at_odd_lambda_order(lambda_order, q_order):
+    result = triple_product_check(lambda_order, q_order)
+    assert result["ok"], result["first_mismatch"]
+    assert (result["lambda_order"], result["q_order"]) == (lambda_order, q_order)
+
+
+REFUSALS = [
+    (triple_product_check, (6.0, 4), "lambda_order must be an int, got float"),
+    (triple_product_check, (6, True), "q_order must be an int, got bool"),
+    (triple_product_rhs, (True, 4), "lambda_order must be an int, got bool"),
+    (triple_product_rhs, (6, 4.0), "q_order must be an int, got float"),
+    (genus_series_n1, (1.0, 4), "g_max must be an int, got float"),
+    (genus_series_n1, (1, Fraction(4)), "q_order must be an int, got Fraction"),
+    # a negative order is refused, not read as an order-0 product side
+    (triple_product_rhs, (4, -1), "need lambda_order >= 0 and q_order >= 0, got 4 and -1"),
+    (triple_product_rhs, (-1, 3), "need lambda_order >= 0 and q_order >= 0, got -1 and 3"),
+    (genus_series_n1, (-1, 4), "need g_max >= 0 and q_order >= 0, got -1 and 4"),
+    (genus_series_n1, (1, -1), "need g_max >= 0 and q_order >= 0, got 1 and -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message", REFUSALS, ids=[f"{f.__name__}{a}" for f, a, _ in REFUSALS]
+)
+def test_resummation_refuses_bad_orders(func, args, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        func(*args)
+
+
+@pytest.mark.parametrize(
+    "lambda_order, q_order", [(8, 6), (10, 8), (12, 4), (7, 5), (9, 4)]
+)
 def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
     expect = oracles.triple_product_rhs(lambda_order, q_order)
     got = triple_product_rhs(lambda_order, q_order)
@@ -292,6 +324,20 @@ def test_triple_product_check_catches_product_side_fault(monkeypatch, m):
     mismatch = result["first_mismatch"]
     assert (mismatch["lambda"], mismatch["q"]) == (0, m)
     assert mismatch["rhs"] - mismatch["lhs"] == 1
+
+
+def test_triple_product_check_reads_odd_lambda_slots(monkeypatch):
+    real_rhs = anomaly.triple_product_rhs
+
+    def odd_slot_set(lambda_order, q_order):  # the q^1 lam^3 coefficient, set to 1
+        rhs = real_rhs(lambda_order, q_order)
+        rhs.coeffs[1].coeffs[3] = 1
+        return rhs
+
+    monkeypatch.setattr(anomaly, "triple_product_rhs", odd_slot_set)
+    result = triple_product_check(8, 6)
+    assert result["ok"] is False
+    assert result["first_mismatch"] == {"lambda": 3, "q": 1, "lhs": 0, "rhs": 1}
 
 
 def test_triple_product_command_reports_mismatch(monkeypatch, tmp_path):

@@ -78,6 +78,26 @@ def test_eisenstein_rejects_bad_weight():
             eisenstein(weight, 4)
 
 
+REFUSALS = [
+    (eisenstein, (4.0, 3), "weight"),
+    (eisenstein, (True, 3), "weight"),
+    (eisenstein, (4, True), "order"),
+    (eisenstein, (4, Fraction(3)), "order"),
+    (bernoulli, (2.0,), "n"),
+    (bernoulli, (True,), "n"),
+    (zeta_even_ratio, (1.0,), "k"),
+    (zeta_even_ratio, (True,), "k"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, name", REFUSALS, ids=[f"{f.__name__}{a}" for f, a, _ in REFUSALS]
+)
+def test_entry_points_refuse_non_int_arguments(func, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        func(*args)
+
+
 def test_zeta_even_ratio_values():
     # zeta(2k) / (2 pi)^(2k) for k = 1, 2, 3
     assert zeta_even_ratio(1) == Fraction(1, 24)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bps_series import qseries
 from bps_series.laurent import LaurentPoly
 from bps_series.qseries import (
     BadConstantTerm,
@@ -17,6 +18,7 @@ from bps_series.qseries import (
     euler_int_layers,
     geom_factor_product,
 )
+from bps_series.serialize import series_to_json
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -52,6 +54,83 @@ def test_scalar_coefficients_promote():
     assert (2 + QSeries([0, 1]))[0] == 2
 
 
+WIDE = 2**64
+# coefficients of the integer-convolution product: ints, Fractions with
+# denominators up to 2**64, and zero as an int and as a Fraction
+rational_entries = (
+    st.integers(min_value=-WIDE, max_value=WIDE)
+    | st.builds(
+        Fraction,
+        st.integers(min_value=-WIDE, max_value=WIDE),
+        st.integers(min_value=1, max_value=WIDE),
+    )
+    | st.sampled_from([0, Fraction(0)])
+)
+int_entries = st.integers(min_value=-WIDE, max_value=WIDE) | st.just(0)
+
+
+@given(
+    st.lists(rational_entries, min_size=1, max_size=10),
+    st.lists(rational_entries, min_size=1, max_size=10),
+)
+def test_rational_product_matches_schoolbook(a, b):
+    got = QSeries(a) * QSeries(b)
+    expect = oracles.series_mul_fractions(a, b)
+    assert got.order == min(len(a), len(b)) - 1 == len(expect) - 1
+    assert got.coeffs == expect
+    assert series_to_json(got) == series_to_json(QSeries(expect))
+
+
+@given(
+    st.lists(int_entries, min_size=1, max_size=10),
+    st.lists(int_entries, min_size=1, max_size=10),
+)
+def test_integer_product_stays_integer(a, b):
+    got = QSeries(a) * QSeries(b)
+    expect = oracles.series_mul_fractions(a, b)
+    assert got.coeffs == expect
+    assert all(type(c) is int for c in got.coeffs)
+    assert series_to_json(got) == series_to_json(QSeries(expect))
+
+
+def _spy_rational_product(monkeypatch):
+    """Record the operands of every integer-convolution product."""
+    seen = []
+    real = qseries._rational_product
+
+    def spy(a, b, int_only):
+        seen.append((a, b))
+        return real(a, b, int_only)
+
+    monkeypatch.setattr(qseries, "_rational_product", spy)
+    return seen
+
+
+def test_laurent_coefficient_product_takes_the_generic_loop(monkeypatch):
+    seen = _spy_rational_product(monkeypatch)
+    one = LaurentPoly.const(1, nvars=1)
+    x = LaurentPoly({(1,): 1}, nvars=1)
+    x_inv = LaurentPoly({(-1,): Fraction(1, 2)}, nvars=1)
+    # (1 + x q)(1 - x^-1 q / 2) = 1 + (x - x^-1 / 2) q - q^2 / 2
+    got = QSeries([one, x, one * 0]) * QSeries([one, -x_inv, one * 0])
+    assert got.coeffs == [one, x - x_inv, LaurentPoly.const(Fraction(-1, 2), nvars=1)]
+    assert seen == []
+
+
+def test_nested_series_product_takes_the_generic_loop(monkeypatch):
+    seen = _spy_rational_product(monkeypatch)
+    a = [QSeries([1, Fraction(2, 3)], var="y"), QSeries([Fraction(-1, 5), 7], var="y")]
+    b = [QSeries([Fraction(1, 2), 0], var="y"), QSeries([3, Fraction(1, 4)], var="y")]
+    got = QSeries(a) * QSeries(b)
+    for i in range(2):
+        terms = [oracles.series_mul_fractions(a[j].coeffs, b[i - j].coeffs) for j in range(i + 1)]
+        assert got[i].coeffs == [sum(column) for column in zip(*terms)]
+    # only the three inner y-series products are convolutions
+    assert len(seen) == 3
+    for operands in seen:
+        assert {type(c) for side in operands for c in side} <= {int, Fraction}
+
+
 @given(small_series, small_series, small_series)
 def test_ring_axioms(a, b, c):
     # every binary operation truncates to the smaller order, so both sides
@@ -82,6 +161,12 @@ def test_inverse_round_trip(s):
 def test_constructor_refuses_inexact_coefficients(build, message):
     with pytest.raises(ValueError, match=f"^{message} is not exact"):
         build()
+
+
+@pytest.mark.parametrize("e", [True, 2.0, Fraction(2), "2"])
+def test_power_refuses_non_int_exponents(e):
+    with pytest.raises(ValueError, match="exponent must be an int"):
+        QSeries([1, 1]) ** e
 
 
 def test_inverse_needs_unit_constant():
