@@ -172,7 +172,7 @@ def integrate_e2(p):
     """E2-antiderivative with no E2-free part (weight rises by 2)."""
     out = GradedPoly(p.weight + 2)
     for (a, b, c), coeff in p.monomials.items():
-        out.monomials[(a + 1, b, c)] = coeff / (a + 1)
+        out.monomials[(a + 1, b, c)] = Fraction(coeff, a + 1)
     return out
 
 
@@ -208,7 +208,7 @@ def _scalar_ratio(numerator, denominator):
     if not denominator:
         return None
     key, coeff = next(iter(sorted(denominator.monomials.items())))
-    c = numerator.monomials.get(key, Fraction(0)) / coeff
+    c = Fraction(numerator.monomials.get(key, 0), coeff)
     return c if numerator == c * denominator else None
 
 
@@ -324,7 +324,7 @@ def _solve_exact(rows, nvars):
             )
         rows[r], rows[pivot] = rows[pivot], rows[r]
         scale = rows[r][col]
-        rows[r] = [x / scale for x in rows[r]]
+        rows[r] = [Fraction(x, scale) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
                 factor = rows[i][col]

@@ -39,8 +39,6 @@ the prefactor multiplying the product side is +1/u, the expansion of
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import LaurentPoly
 from .qseries import QSeries, binomial_coeff, euler_int_layers, geom_factor_product
 from .sl2 import bps_from_character, u_expand
@@ -158,7 +156,7 @@ def refined_goettsche_res(g_max):
                 for (y,), cb in right:
                     key = (x + y, x - y)
                     acc[key] = get(key, 0) + ca * cb
-        layers.append(LaurentPoly._of({e: Fraction(c) for e, c in acc.items() if c}, 2))
+        layers.append(LaurentPoly._of({e: c for e, c in acc.items() if c}, 2))
     return QSeries(layers, g_max)
 
 

@@ -1,10 +1,10 @@
-"""Finite-support Laurent polynomials in one or two variables over Fraction.
+"""Finite-support Laurent polynomials in one or two variables over the rationals.
 
 Exponents are integer tuples (one entry per variable); by convention a single
 variable prints as t and two variables print as tL, tR.  The exponent of a
 variable encodes twice the Lefschetz weight 2H, so spin-m weight spaces sit at
 integer exponents even for half-integer m.  Zero coefficients are never
-stored.
+stored, and each coefficient is kept as given, an int or a Fraction.
 
 The module also holds the sparse-term core (coefficient, collect, mul_terms)
 that LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries share.
@@ -28,10 +28,10 @@ _VAR_NAMES = {1: ("t",), 2: ("tL", "tR")}
 
 
 def coefficient(c, key):
-    """c as a Fraction; a value of type int or Fraction passes, anything else
-    (a float or a bool above all) raises ValueError naming key."""
+    """c unchanged if its type is int or Fraction; anything else (a float or
+    a bool above all) raises ValueError naming key."""
     if type(c) in (int, Fraction):
-        return Fraction(c)
+        return c
     raise ValueError(f"coefficient at {key}: {type(c).__name__} {c!r} is not an int or a Fraction")
 
 
@@ -54,7 +54,7 @@ def mul_terms(a, b):
 
 
 class LaurentPoly:
-    """Exact Laurent polynomial: {exponent tuple: nonzero Fraction}."""
+    """Exact Laurent polynomial: {exponent tuple: nonzero int or Fraction}."""
 
     def __init__(self, terms=None, nvars=1):
         self.nvars = nvars
@@ -68,7 +68,7 @@ class LaurentPoly:
 
     @classmethod
     def _of(cls, terms, nvars):
-        """Wrap a term dict that already has nonzero Fraction values."""
+        """Wrap a term dict that already has nonzero int or Fraction values."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = terms
@@ -91,7 +91,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return self.terms == {(0,) * self.nvars: Fraction(other)}
+            return self.terms == {(0,) * self.nvars: other}
         return NotImplemented
 
     def __repr__(self):

@@ -244,7 +244,7 @@ def binomial_coeff(e, j):
 
 
 def eta_product(exponent, order):
-    """prod_{n=1}^{order} (1 - q^n)^exponent over Fraction coefficients.
+    """prod_{n=1}^{order} (1 - q^n)^exponent over int coefficients.
 
     exponent = -1 gives the partition-number generating function.
     """
@@ -255,13 +255,14 @@ def geom_factor_product(specs, order, nvars):
     """prod_{n=1}^{order} prod_{(exps, c, e) in specs} (1 - c * x^exps * q^n)^e
     as a QSeries truncated at order.
 
-    The coefficients are LaurentPoly in nvars variables, or Fraction when
-    nvars == 0 (every exps is then ()); euler_int_layers computes them.
+    The coefficients are LaurentPoly in nvars variables, or int when
+    nvars == 0 (every exps is then ()): the layers of euler_int_layers, as
+    they come.
     """
     layers = euler_int_layers(specs, order, nvars)
     if nvars == 0:
-        return QSeries([Fraction(layer.get((), 0)) for layer in layers], order)
-    return QSeries([LaurentPoly(layer, nvars) for layer in layers], order)
+        return QSeries([layer.get((), 0) for layer in layers], order)
+    return QSeries([LaurentPoly._of(layer, nvars) for layer in layers], order)
 
 
 def euler_int_layers(specs, order, nvars):

@@ -109,7 +109,7 @@ def _peel(rest, char_of_level):
         if top < 0:
             raise NotSymmetric(f"peeling left only negative tL exponents: {rest}")
         c = rest.pop(top)
-        steps = [(e, -a.numerator) for (e,), a in char_of_level(top).terms.items() if e != top]
+        steps = [(e, -a) for (e,), a in char_of_level(top).terms.items() if e != top]
         if isinstance(c, int):
             r = -c if top % 2 else c
             for e, k in steps:

@@ -31,6 +31,7 @@ from bps_series.anomaly import (
 )
 from bps_series.modular import eisenstein, zeta_even_ratio
 from bps_series.qseries import QSeries
+from bps_series.serialize import poly_to_json
 
 
 def weight_monomials(weight):
@@ -181,6 +182,74 @@ def test_solver_boundary_diagnostics():
     bad = [target[0], target[1], target[2] + 1]
     with pytest.raises(InconsistentBoundary):
         solve_anomaly(1, 2, norm, bad)
+
+
+# The shared core stores an int coefficient as an int, so every division the
+# recursion makes must be exact: a float there is stored, and poly_to_json
+# refuses it.
+
+
+def _exact_coefficients(poly):
+    return all(type(c) in (int, Fraction) for c in poly.monomials.values())
+
+
+def _with_fractions(poly):
+    return GradedPoly(poly.weight, {k: Fraction(c) for k, c in poly.monomials.items()})
+
+
+def _json_bytes(poly):
+    return json.dumps(poly_to_json(poly))
+
+
+def test_integrate_e2_divides_int_coefficients_exactly():
+    assert integrate_e2(GradedPoly(6, {(1, 1, 0): 1})).monomials == {(2, 1, 0): Fraction(1, 2)}
+    p = GradedPoly(10, {(2, 0, 1): 3, (1, 2, 0): 1, (0, 1, 1): 2})
+    got = integrate_e2(p)
+    assert got.monomials == {(3, 0, 1): 1, (2, 2, 0): Fraction(1, 2), (1, 1, 1): 2}
+    assert _exact_coefficients(got)
+    assert _json_bytes(got) == _json_bytes(integrate_e2(_with_fractions(p)))
+
+
+def test_verify_anomaly_divides_int_coefficients_exactly():
+    given = reference_solutions()
+    assert any(type(c) is int for z in given for c in z.poly.monomials.values())
+    report = verify_anomaly(given)
+    want = verify_anomaly([ZFunction(z.n, z.g, _with_fractions(z.poly)) for z in given])
+    assert report["all_ok"]
+    assert report["constants"] == {1: Fraction(1, 12), 2: Fraction(1, 24)}
+    assert all(type(c) in (int, Fraction) for c in report["constants"].values())
+    assert report["normalized"].keys() == want["normalized"].keys()
+    for key, poly in report["normalized"].items():
+        assert _exact_coefficients(poly), key
+        assert _json_bytes(poly) == _json_bytes(want["normalized"][key]), key
+    # an all-int family: its constant and its failed entry's difference
+    family = [
+        ZFunction(1, 0, GradedPoly(4, {(0, 1, 0): 1})),
+        ZFunction(1, 1, GradedPoly(6, {(1, 1, 0): 12})),
+        ZFunction(1, 2, GradedPoly(8, {(2, 1, 0): 1, (0, 2, 0): 3})),
+    ]
+    report = verify_anomaly(family)
+    want = verify_anomaly([ZFunction(z.n, z.g, _with_fractions(z.poly)) for z in family])
+    assert report["constants"] == {1: Fraction(1, 144)}
+    assert [e["ok"] for e in report["entries"]] == [True, True, False]
+    got_diff, want_diff = report["entries"][2]["difference"], want["entries"][2]["difference"]
+    assert _exact_coefficients(got_diff) and _json_bytes(got_diff) == _json_bytes(want_diff)
+    # a zero right side: the ratio's numerator is the int 0
+    report = verify_anomaly(family[1:2] + [ZFunction(1, 0, GradedPoly(4))])
+    assert report["constants"] == {1: 0} and type(report["constants"][1]) in (int, Fraction)
+
+
+def test_solve_anomaly_divides_int_boundary_exactly():
+    assert solve_anomaly(1, 0, {}, [2]).monomials == {(0, 1, 0): 2}
+    norm = _normalized_reference()
+    # one int boundary value per E4/E6 monomial: a square system
+    for n, g, boundary in [(1, 0, [3]), (1, 2, [-1]), (2, 1, [1, 5]), (2, 3, [2, -7])]:
+        known = {k: v for k, v in norm.items() if k != (g, n)}
+        got = solve_anomaly(n, g, known, boundary)
+        want = solve_anomaly(n, g, known, [Fraction(x) for x in boundary])
+        assert realize(got, n, len(boundary) - 1).coeffs == boundary, (n, g)
+        assert _exact_coefficients(got), (n, g)
+        assert _json_bytes(got) == _json_bytes(want), (n, g)
 
 
 def test_zfunction_weight_validation():

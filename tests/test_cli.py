@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -295,7 +296,7 @@ def test_triple_product_mismatch_payload(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_anomaly_report_prints_one_error_line(tmp_path, capsys):
-    doc = json.loads(open(write_reference_table(tmp_path)).read())
+    doc = json.loads(Path(write_reference_table(tmp_path)).read_text())
     doc[2]["poly"]["monomials"][0]["coeff"] = "1"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

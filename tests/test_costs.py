@@ -1,0 +1,56 @@
+"""Cost bounds that do not depend on the machine: the number of Fraction
+objects a call makes.
+
+A count is fixed for a given call and interpreter.  Caches only lower it, so
+each bound, set above the count with cold caches, holds in any test order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import add, mul
+
+import pytest
+from costs import counting_fractions, fractions_made
+
+from bps_series.anomaly import triple_product_check
+from bps_series.goettsche import (
+    BettiVector,
+    bps_rational_elliptic,
+    goettsche_series,
+    refined_goettsche_res,
+)
+
+
+def test_counter_sees_every_maker_and_restores_it():
+    saved = dict(vars(Fraction))
+    assert fractions_made(Fraction, 1, 3) == 1
+    # arithmetic makes its result through __new__ up to CPython 3.11 and
+    # through _from_coprime_ints from 3.12 on
+    assert fractions_made(mul, Fraction(1, 3), Fraction(3, 5)) == 1
+    assert fractions_made(add, Fraction(1, 3), Fraction(1, 5)) == 1
+    assert fractions_made(add, 1, 2) == 0
+    with counting_fractions() as count:
+        Fraction(2, 4) + Fraction(1, 2)
+    assert count == [3]
+    assert dict(vars(Fraction)) == saved
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (bps_rational_elliptic, (16,)),
+        (refined_goettsche_res, (16,)),
+        (goettsche_series, (BettiVector(2, 4, 22, 4, 2), 20)),
+    ],
+)
+def test_hilbert_pipeline_makes_no_fraction(build, args):
+    # the integer Euler kernel's layers are stored and peeled as ints; wrapping
+    # them in Fractions made 6,851, 3,281 and 861 here
+    assert fractions_made(build, *args) == 0
+
+
+def test_triple_product_check_fraction_count():
+    # with cold caches: 15,515 on CPython 3.10/3.11 and 19,852 on 3.12/3.13;
+    # the term-by-term Fraction product made 133,300
+    assert fractions_made(triple_product_check, 20, 20) <= 25_000

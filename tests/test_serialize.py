@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bps_series.anomaly import GradedPoly, ZFunction, reference_solutions
+from bps_series.goettsche import BettiVector, goettsche_series, refined_goettsche_res
 from bps_series.gvtransform import InvariantTable
 from bps_series.laurent import LaurentPoly
 from bps_series.qseries import QSeries, eta_product
@@ -71,6 +72,49 @@ def test_series_tsv_layout():
     s = QSeries([Fraction(1), Fraction(-1, 2)])
     text = series_to_tsv(s)
     assert text == "0\t1\n1\t-1/2\n"
+
+
+def _with_fraction_coefficients(s):
+    return QSeries(
+        [
+            LaurentPoly({e: Fraction(v) for e, v in c.terms.items()}, c.nvars)
+            if isinstance(c, LaurentPoly)
+            else Fraction(c)
+            for c in s.coeffs
+        ],
+        s.order,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: refined_goettsche_res(8),
+        lambda: goettsche_series(BettiVector(2, 4, 22, 4, 2), 8),
+        lambda: eta_product(-12, 8),
+    ],
+)
+def test_int_coefficients_write_the_bytes_of_fractions(build):
+    # the Euler-product builders store the kernel's ints as given; the
+    # writers must not tell them from the equal Fractions
+    s = build()
+    f = _with_fraction_coefficients(s)
+    values = [c.terms.values() if isinstance(c, LaurentPoly) else [c] for c in s.coeffs]
+    assert {type(v) for vs in values for v in vs} == {int}
+    assert series_to_json(s) == series_to_json(f)
+    assert series_to_tsv(s) == series_to_tsv(f)
+    assert s == f and f == s
+
+
+def test_laurent_equality_ignores_int_or_fraction_storage():
+    ints = LaurentPoly({(1,): 3, (0,): -2, (-1,): 3})
+    fracs = LaurentPoly({(1,): Fraction(3), (0,): Fraction(-2), (-1,): Fraction(3)})
+    assert ints == fracs and fracs == ints
+    assert ints != LaurentPoly({(1,): 3, (0,): -2, (-1,): Fraction(7, 2)})
+    for c in (5, Fraction(5)):
+        for other in (5, Fraction(5)):
+            assert LaurentPoly.const(c, nvars=2) == other
+        assert LaurentPoly.const(c, nvars=2) != 4
 
 
 def test_table_round_trip_and_determinism():
