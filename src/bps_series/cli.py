@@ -6,6 +6,12 @@ the command line and maps results and faults to output and exit codes; the
 writers of every output document live in `serialize`, and a report or exit-1
 payload is written as json.dumps(payload, indent=2).
 
+One flag table, COMMANDS, gives every subcommand's flags, types and
+defaults.  `_parse` reads a well-formed command line off it directly; help
+and usage faults go to the argparse parser that `build_parser` makes from
+the same table, so their text and exit codes are argparse's, byte for byte.
+A well-formed job never imports argparse.
+
 `main` is the only code that turns a fault into an exit code, and every
 nonzero exit writes exactly one `error:` line to stderr:
 
@@ -22,9 +28,9 @@ window.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import anomaly, goettsche, gvtransform, serialize, sl2
 from .modular import eisenstein
@@ -36,13 +42,6 @@ DEFAULT_G_MAX = 6
 
 class UsageError(Exception):
     """A command line that does not parse."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises usage faults instead of printing the usage text and exiting."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 class CheckFailed(Exception):
@@ -248,11 +247,19 @@ def _check_failure(exc):
     return None
 
 
+def _type_error(message):
+    """The fault of a refused flag value, worded by argparse; argparse is
+    imported only here and in build_parser, off a well-formed job's path."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _betti(text):
     """Type of --betti: five comma-separated integers b0,b1,b2,b3,b4."""
     bs = text.split(",")
     if len(bs) != 5 or not all(b.removeprefix("-").isdecimal() for b in bs):
-        raise argparse.ArgumentTypeError(f"need five integers b0,b1,b2,b3,b4, got {text!r}")
+        raise _type_error(f"need five integers b0,b1,b2,b3,b4, got {text!r}")
     return tuple(int(b) for b in bs)
 
 
@@ -264,95 +271,167 @@ def _order(least):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise _type_error(f"invalid int value: {text!r}") from None
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            raise _type_error(f"must be >= {least}, got {value}")
         return value
 
     return order
 
 
+def _flag(flag, kind=str, default=None, *, required=False, group=None, dest=None, help=None):
+    """One flag row: (flag, dest, kind, required, group, default, help).  kind
+    is the type function of the value text, a tuple of the allowed values, or
+    bool for a flag that takes no value; group names the required mutually
+    exclusive group the flag belongs to."""
+    return flag, dest or flag[2:].replace("-", "_"), kind, required, group, default, help
+
+
+_OUT = _flag("--out", help="output path (default: stdout)")
+_FORMAT = _flag("--format", ("json", "tsv"), "json")
+_GMAX = _flag("--gmax", _order(0), DEFAULT_G_MAX)
+_DEGREE = _flag("--degree", _order(0))
+
+# The flag table: subcommand -> (handler, help line, flag rows); every
+# subcommand also takes --out.  _parse and build_parser both read it.
+COMMANDS = {
+    "eisenstein": (cmd_eisenstein, "q-expansion of an Eisenstein series", (
+        _flag("--weight", int, required=True),
+        _flag("--order", _order(0), DEFAULT_Q_ORDER),
+        _FORMAT,
+    )),
+    "goettsche": (cmd_goettsche, "Hilbert scheme character series", (
+        _flag("--betti", _betti, group="surface", help="b0,b1,b2,b3,b4 of the surface"),
+        _flag("--refined", bool, False, group="surface",
+              help="bigraded rational-elliptic-surface product instead of --betti"),
+        _GMAX,
+        _FORMAT,
+    )),
+    "bps-rational-elliptic": (
+        cmd_bps_rational_elliptic, "TSV of n_h(C+gF) for the rational elliptic surface", (_GMAX,),
+    ),
+    "gv-from-gw": (cmd_gv_from_gw, "invert the transform: BPS from GW", (
+        _flag("--in", dest="infile", required=True, help="GW table JSON"),
+        _flag("--lambda-order", _order(-2),
+              help="default: largest the table supports (2*max_genus - 2)"),
+        _DEGREE,
+    )),
+    "gw-from-gv": (cmd_gw_from_gv, "assemble GW series from BPS", (
+        _flag("--in", dest="infile", required=True, help="BPS table JSON"),
+        _flag("--lambda-order", _order(-2), DEFAULT_LAMBDA_ORDER),
+        _DEGREE,
+    )),
+    "roundtrip-check": (cmd_roundtrip_check, "BPS -> GW -> BPS identity", (
+        _flag("--in", dest="infile", required=True, help="BPS table JSON"),
+        _flag("--lambda-order", _order(-2)),
+        _DEGREE,
+    )),
+    "anomaly-verify": (cmd_anomaly_verify, "check the recursion on a table", (
+        _flag("--table", required=True, help="ZFunction table JSON"),
+    )),
+    "anomaly-solve": (cmd_anomaly_solve, "solve one recursion step", (
+        _flag("--n", int, required=True),
+        _flag("--g", int, required=True),
+        _flag("--table", required=True, help="prerequisite table JSON"),
+        _flag("--boundary", required=True, help="comma-separated rationals"),
+    )),
+    "genus-series": (cmd_genus_series, "fiber-degree-1 genus expansions", (
+        _GMAX,
+        _flag("--q-order", _order(0), DEFAULT_Q_ORDER),
+        _FORMAT,
+    )),
+    "triple-product-check": (cmd_triple_product_check, "resummation identity", (
+        _flag("--lambda-order", _order(2), DEFAULT_LAMBDA_ORDER),
+        _flag("--q-order", _order(2), DEFAULT_Q_ORDER),
+    )),
+}
+
+
+def _parse(argv):
+    """The namespace of a well-formed command line, read off COMMANDS: each
+    flag of the subcommand at most once and in full, as "--flag value" or
+    "--flag=value", every required flag given and every value accepted by its
+    type.  A value in a token of its own may start with "-" only as a
+    negative integer, which argparse also takes as a value, and "--flag=--"
+    is refused.  Anything else, help and usage faults included, gives None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    rows = {row[0]: row for row in (_OUT, *flags)}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in rows or flag in given:
+            return None
+        kind = rows[flag][2]
+        if kind is bool:
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
+                return None
+        elif text == "--":  # argparse before 3.13 drops it from a flag's values
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            given[flag] = text
+            continue
+        try:
+            given[flag] = kind(text)
+        except Exception:  # a refused value: argparse words the fault
+            return None
+    args = {"command": argv[0], "func": func}
+    for flag, dest, _, required, _, default, _ in rows.values():
+        if required and flag not in given:
+            return None
+        args[dest] = given.get(flag, default)
+    chosen = [row[4] for row in flags if row[4] and row[0] in given]
+    if sorted(chosen) != sorted({row[4] for row in flags if row[4]}):
+        return None  # not exactly one flag of each exclusive group
+    return SimpleNamespace(**args)
+
+
 def build_parser(command=None):
-    """The bps-series parser.  When command names a subcommand, only that
-    subparser is built, which is all a command line starting with it needs;
-    otherwise all ten are, so that the top-level help and the invalid-choice
-    message list every subcommand."""
-    parser = _Parser(
+    """The argparse parser of COMMANDS, which main uses only for a command
+    line that _parse refuses: help and usage faults.  When command names a
+    subcommand, only that subparser is built, which is all a command line
+    starting with it needs; otherwise all ten are, so that the top-level help
+    and the invalid-choice message list every subcommand."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Raises usage faults instead of printing the usage text and exiting."""
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(
         prog="bps-series",
         description="Exact-arithmetic BPS / Gromov-Witten series toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        if command is not None and name != command:
-            return None
-        p = sub.add_parser(name, **kwargs)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        func, help_line, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func)
-        p.add_argument("--out", help="output path (default: stdout)")
-        return p
-
-    if p := add("eisenstein", cmd_eisenstein, help="q-expansion of an Eisenstein series"):
-        p.add_argument("--weight", type=int, required=True)
-        p.add_argument("--order", type=_order(0), default=DEFAULT_Q_ORDER)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    if p := add("goettsche", cmd_goettsche, help="Hilbert scheme character series"):
-        which = p.add_mutually_exclusive_group(required=True)
-        which.add_argument("--betti", type=_betti, help="b0,b1,b2,b3,b4 of the surface")
-        which.add_argument(
-            "--refined",
-            action="store_true",
-            help="bigraded rational-elliptic-surface product instead of --betti",
-        )
-        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    if p := add(
-        "bps-rational-elliptic",
-        cmd_bps_rational_elliptic,
-        help="TSV of n_h(C+gF) for the rational elliptic surface",
-    ):
-        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
-
-    if p := add("gv-from-gw", cmd_gv_from_gw, help="invert the transform: BPS from GW"):
-        p.add_argument("--in", dest="infile", required=True, help="GW table JSON")
-        p.add_argument(
-            "--lambda-order",
-            type=_order(-2),
-            default=None,
-            help="default: largest the table supports (2*max_genus - 2)",
-        )
-        p.add_argument("--degree", type=_order(0), default=None)
-
-    if p := add("gw-from-gv", cmd_gw_from_gv, help="assemble GW series from BPS"):
-        p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-        p.add_argument("--lambda-order", type=_order(-2), default=DEFAULT_LAMBDA_ORDER)
-        p.add_argument("--degree", type=_order(0), default=None)
-
-    if p := add("roundtrip-check", cmd_roundtrip_check, help="BPS -> GW -> BPS identity"):
-        p.add_argument("--in", dest="infile", required=True, help="BPS table JSON")
-        p.add_argument("--lambda-order", type=_order(-2), default=None)
-        p.add_argument("--degree", type=_order(0), default=None)
-
-    if p := add("anomaly-verify", cmd_anomaly_verify, help="check the recursion on a table"):
-        p.add_argument("--table", required=True, help="ZFunction table JSON")
-
-    if p := add("anomaly-solve", cmd_anomaly_solve, help="solve one recursion step"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--table", required=True, help="prerequisite table JSON")
-        p.add_argument("--boundary", required=True, help="comma-separated rationals")
-
-    if p := add("genus-series", cmd_genus_series, help="fiber-degree-1 genus expansions"):
-        p.add_argument("--gmax", type=_order(0), default=DEFAULT_G_MAX)
-        p.add_argument("--q-order", type=_order(0), default=DEFAULT_Q_ORDER)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    if p := add("triple-product-check", cmd_triple_product_check, help="resummation identity"):
-        p.add_argument("--lambda-order", type=_order(2), default=DEFAULT_LAMBDA_ORDER)
-        p.add_argument("--q-order", type=_order(2), default=DEFAULT_Q_ORDER)
-
-    return parser if sub.choices else build_parser()
+        groups = {}
+        for flag, dest, kind, required, group, default, help_text in (_OUT, *flags):
+            kwargs = {"dest": dest, "default": default, "required": required, "help": help_text}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                kwargs["choices"] = kind
+            else:
+                kwargs["type"] = kind
+            if group and group not in groups:
+                groups[group] = p.add_mutually_exclusive_group(required=True)
+            (groups[group] if group else p).add_argument(flag, **kwargs)
+    return parser
 
 
 def _glue_boundary(argv):
@@ -372,7 +451,9 @@ def main(argv=None):
     code, error = 0, None
     try:
         argv = _glue_boundary(sys.argv[1:] if argv is None else argv)
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(argv)
+        if args is None:  # help or a usage fault: argparse words it
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         try:
             text = args.func(args)
         except Exception as exc:

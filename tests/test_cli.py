@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -456,7 +459,10 @@ MINIMAL_ARGV = {
 def test_one_subparser_parses_as_the_full_parser(command, capsys):
     one, full = cli.build_parser(command), cli.build_parser()
     argv = [command, *MINIMAL_ARGV[command]]
-    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    expected = vars(full.parse_args(argv))
+    assert vars(one.parse_args(argv)) == expected
+    # the table's own parser takes the line too, to the same namespace
+    assert vars(cli._parse(argv)) == expected
     helps = []
     for parser in (one, full):
         with pytest.raises(SystemExit):
@@ -466,6 +472,64 @@ def test_one_subparser_parses_as_the_full_parser(command, capsys):
     other = next(name for name in SUBCOMMANDS if name != command)
     with pytest.raises(cli.UsageError, match="invalid choice"):
         one.parse_args([other, *MINIMAL_ARGV[other]])
+
+
+# One fresh interpreter runs cli.main on each command line in turn and
+# records, after each, its exit code and whether argparse is imported.
+PROBE = r"""
+import json, sys
+from bps_series import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    seen.append([code, "argparse" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def probe(*argvs):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(seen) for seen in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_well_formed_jobs_never_import_argparse(tmp_path):
+    # the bench's command shapes, every subcommand among them; the fast path
+    # parses them all, so argparse (with gettext and locale) stays unloaded
+    bps = InvariantTable("bps", 2, (1, 1), 2, 3, {(0, (1, 1)): 4, (1, (0, 2)): -2})
+    bps_path = write_table(tmp_path, "bps.json", bps)
+    gw_path = write_table(tmp_path, "gw.json", gw_from_gv(bps, 2))
+    z_path = write_reference_table(tmp_path)
+    out = ["--out", str(tmp_path / "out.txt")]
+    jobs = [
+        ["bps-rational-elliptic", "--gmax", "3", *out],
+        ["goettsche", "--refined", "--gmax", "3", *out],
+        ["goettsche", "--betti", "1,2,10,2,1", "--gmax", "3", *out],
+        ["gw-from-gv", "--in", bps_path, "--lambda-order", "4", *out],
+        ["gv-from-gw", "--in", gw_path, *out],
+        ["roundtrip-check", "--in", bps_path, *out],
+        ["triple-product-check", "--lambda-order", "4", "--q-order", "4", *out],
+        ["genus-series", "--gmax", "2", "--q-order", "3", "--format", "tsv", *out],
+        ["eisenstein", "--weight", "4", "--order", "3", "--format", "json", *out],
+        ["anomaly-verify", "--table", z_path, *out],
+        ["anomaly-solve", "--n", "1", "--g", "0", "--table", z_path, "--boundary", "-1,-252", *out],
+    ]
+    assert {job[0] for job in jobs} == set(SUBCOMMANDS)
+    assert probe(*jobs) == [(0, False)] * len(jobs)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["genus-series", "--help"], 0), (["genus-series", "--gmax", "x"], 2)],
+)
+def test_help_and_usage_faults_go_through_argparse(argv, code):
+    assert probe(argv) == [(code, True)]
 
 
 @pytest.mark.parametrize("first", ["--help", "-x", "no-such-command", "Eisenstein"])

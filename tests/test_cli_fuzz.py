@@ -9,9 +9,10 @@ import contextlib
 import copy
 import io
 import json
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bps_series import cli, serialize
@@ -226,3 +227,115 @@ def test_valid_zfunction_lists_give_the_same_bytes(tmp_dir, command, data):
     second = run_cli(tmp_dir, argv, doc)
     assert first[0] == 0 and first[2] == "", first
     assert first == second
+
+
+# -- the two command-line parsers ---------------------------------------------
+
+# (values a flag takes, values it refuses or argparse reads as a flag)
+ORDERS = (["0", "2", "3"], ["-1", "-4", "x", "2.5", "-1.5", ""])
+INTS = (["1", "4", "-4", "0"], ["x", "4.0", "-"])
+PATHS = (["t.json", "a=b"], ["-x", "-1,0", "", "-", "--"])
+FORMATS = (["json", "tsv"], ["xml", "-4"])
+BETTIS = (["1,0,10,0,1", "1,2,10,2,1"], ["-1,0,10,0,1", "1,0,10", "1,0,22,0,1,2", "x"])
+BOUNDARIES = (["1", "1,-252"], ["-1,0", "-1", "x"])
+SWITCH = ([None], ["x", ""])  # a flag that takes no value
+TABLE_FLAGS = {"--in": PATHS, "--lambda-order": ORDERS, "--degree": ORDERS}
+# each subcommand's flags and values to draw for them
+PARSER_FLAGS = {
+    "eisenstein": {"--weight": INTS, "--order": ORDERS, "--format": FORMATS},
+    "goettsche": {"--betti": BETTIS, "--refined": SWITCH, "--gmax": ORDERS, "--format": FORMATS},
+    "bps-rational-elliptic": {"--gmax": ORDERS},
+    "gv-from-gw": TABLE_FLAGS,
+    "gw-from-gv": TABLE_FLAGS,
+    "roundtrip-check": TABLE_FLAGS,
+    "anomaly-verify": {"--table": PATHS},
+    "anomaly-solve": {"--n": INTS, "--g": INTS, "--table": PATHS, "--boundary": BOUNDARIES},
+    "genus-series": {"--gmax": ORDERS, "--q-order": ORDERS, "--format": FORMATS},
+    "triple-product-check": {"--lambda-order": ORDERS, "--q-order": ORDERS},
+}
+EXTRAS = [
+    ["--"], ["-h"], ["--help"], ["--bogus", "1"], ["--refined"], ["--betti", "1,0,22,0,1"], ["--out"],
+]
+OUT = "{out}"  # stands for the path of the out file in a drawn command line
+
+
+MOSTLY = st.sampled_from([True] * 7 + [False])
+
+
+@st.composite
+def flag_tokens(draw, flag, values):
+    """flag with a drawn value, as "--flag value" or "--flag=value"."""
+    good, bad = values
+    value = draw(st.sampled_from(good if draw(MOSTLY) else bad))
+    if value is None:
+        return [flag]
+    return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line for any subcommand: most of its flags, in any order and
+    either form, sometimes with a flag repeated or abbreviated, an unknown
+    flag, "--", help, or a wrong subcommand name."""
+    command = draw(st.sampled_from(sorted(PARSER_FLAGS)))
+    flags = {"--out": ([OUT], [OUT]), **PARSER_FLAGS[command]}
+    groups = [draw(flag_tokens(f, v)) for f, v in flags.items() if draw(MOSTLY)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        what = draw(st.sampled_from(["repeat", "abbreviate", "extra"]))
+        if what == "extra":
+            groups.append(draw(st.sampled_from(EXTRAS)))
+        else:
+            flag = draw(st.sampled_from(sorted(flags)))
+            values = flags[flag]  # an abbreviated --out still names the out file
+            if what == "abbreviate" and len(flag) > 3:
+                flag = flag[: draw(st.integers(3, len(flag) - 1))]
+            groups.append(draw(flag_tokens(flag, values)))
+    argv = [command, *(t for group in draw(st.permutations(groups)) for t in group)]
+    if not draw(MOSTLY):  # no subcommand or a wrong one, help, or no argument at all
+        head = draw(st.sampled_from([[], ["-h"], ["--help"], ["Eisenstein"], ["no-such"], None]))
+        argv = [] if head is None else head + argv[1:]
+    return argv
+
+
+def echo(args):
+    """A handler that writes back its namespace, so that main's output shows
+    what either parser read and not the arithmetic behind it."""
+    return repr(sorted((k, v) for k, v in vars(args).items() if k != "func")) + "\n"
+
+
+def run_main(argv, out):
+    """(exit code, stdout, stderr, --out file text or None) of cli.main(argv)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    written = out.read_text() if out.exists() else None
+    if written is not None:
+        out.unlink()
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+@example(argv=["eisenstein", "--weight", "-4", "--out", OUT])
+@example(argv=["anomaly-solve", "--n", "1", "--g", "0", "--table", "z", "--boundary", "-1,0"])
+@example(argv=["goettsche", "--betti", "-1,0,10,0,1"])
+@example(argv=["gw-from-gv", "--in", "-x", f"--out={OUT}"])
+@example(argv=["gv-from-gw", "--in=--"])
+@example(argv=["goettsche", "--refined=x"])
+@example(argv=["goettsche", "--betti", "1,0,22,0,1", "--refined"])
+@example(argv=["triple-product-check", "--", "--q-order", "2"])
+@example(argv=["triple-product-check", "--lam", "2"])
+@example(argv=["genus-series", "--gmax", "1", "--gmax", "2", "-h"])
+@example(argv=["anomaly-solve", "--n", "1"])
+def test_fast_parser_agrees_with_argparse(tmp_dir, argv):
+    out = tmp_dir / "parsed.txt"
+    argv = [arg.replace(OUT, str(out)) for arg in argv]
+    echoing = {name: (echo, *row[1:]) for name, row in cli.COMMANDS.items()}
+    with patch.dict(cli.COMMANDS, echoing):
+        glued = cli._glue_boundary(argv)
+        parsed = cli._parse(glued)
+        if parsed is not None:
+            assert vars(parsed) == vars(cli.build_parser(glued[0]).parse_args(glued)), argv
+        first = run_main(argv, out)
+        with patch.object(cli, "_parse", lambda argv: None):
+            assert run_main(argv, out) == first, argv

@@ -14,11 +14,19 @@ import pytest
 from costs import counting_fractions, fractions_made
 
 from bps_series.anomaly import triple_product_check
+from bps_series import gvtransform
 from bps_series.goettsche import (
     BettiVector,
     bps_rational_elliptic,
     goettsche_series,
     refined_goettsche_res,
+)
+from bps_series.gvtransform import (
+    InvariantTable,
+    gv_from_gw,
+    gw_from_gv,
+    iter_classes,
+    roundtrip_check,
 )
 
 
@@ -54,3 +62,28 @@ def test_triple_product_check_fraction_count():
     # with cold caches: 15,515 on CPython 3.10/3.11 and 19,852 on 3.12/3.13;
     # the term-by-term Fraction product made 133,300
     assert fractions_made(triple_product_check, 20, 20) <= 25_000
+
+
+# rank 2, degree weights (1, 1), genus <= 3, degree <= 8, every slot 1
+RANK_TWO = InvariantTable(
+    "bps", 2, (1, 1), 3, 8, {(h, cls): 1 for cls in iter_classes(2, (1, 1), 8) for h in range(4)}
+)
+
+
+@pytest.mark.parametrize(
+    "transform, table, bound",
+    [
+        # with cold caches: 396 on CPython 3.10/3.11 and 461 on 3.12/3.13
+        (gw_from_gv, RANK_TWO, 500),
+        # 1,774 and 1,814
+        (gv_from_gw, gw_from_gv(RANK_TWO, 6), 2_000),
+        # 2,080 and 2,145
+        (roundtrip_check, RANK_TWO, 2_400),
+    ],
+    ids=["gw_from_gv", "gv_from_gw", "roundtrip_check"],
+)
+def test_transform_fraction_counts(transform, table, bound):
+    # emptied caches give the count of a fresh process, not a lower one
+    gvtransform._sin_power_cached.cache_clear()
+    gvtransform._multicover_scales.cache_clear()
+    assert fractions_made(transform, table, 6) <= bound
