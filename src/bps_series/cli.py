@@ -352,8 +352,8 @@ def _parse(argv):
     flag of the subcommand at most once and in full, as "--flag value" or
     "--flag=value", every required flag given and every value accepted by its
     type.  A value in a token of its own may start with "-" only as a
-    negative integer, which argparse also takes as a value, and "--flag=--"
-    is refused.  Anything else, help and usage faults included, gives None."""
+    negative integer, which argparse also takes as a value.  Anything else,
+    help and usage faults included, gives None."""
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, flags = COMMANDS[argv[0]]
@@ -374,8 +374,6 @@ def _parse(argv):
             text = next(tokens, None)
             if text is None or text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
                 return None
-        elif text == "--":  # argparse before 3.13 drops it from a flag's values
-            return None
         if isinstance(kind, tuple):
             if text not in kind:
                 return None
@@ -434,23 +432,41 @@ def build_parser(command=None):
     return parser
 
 
-def _glue_boundary(argv):
-    """argparse takes a value such as "-1,0" for an option because it starts
+def _normalize(argv):
+    """The command line that both parsers read.
+
+    argparse takes a value such as "-1,0" for an option because it starts
     with "-" and is not a plain number; glue it to a preceding --boundary so
-    that "--boundary -1,0" parses as "--boundary=-1,0"."""
+    that "--boundary -1,0" parses as "--boundary=-1,0".  Before a bare "--",
+    split a value flag of the subcommand written "--flag=--", in full or
+    abbreviated, into "--flag --": argparse before 3.13 drops the "--" and
+    hands the handler an empty list, and 3.13 takes "--" for the value, while
+    "--flag --" gets "argument --flag: expected one argument" on every
+    version."""
+    rows = (_OUT, *COMMANDS[argv[0]][2]) if argv and argv[0] in COMMANDS else ()
+    options = ["--help", *(row[0] for row in rows)]
+    takes_value = {row[0] for row in rows if row[2] is not bool}
+    end = argv.index("--") if "--" in argv else len(argv)
     out = []
-    for arg in argv:
+    for i, arg in enumerate(argv):
         if out and out[-1] == "--boundary" and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] = f"--boundary={arg}"
-        else:
-            out.append(arg)
+            continue
+        flag, _, text = arg.partition("=")
+        if i < end and flag[:2] == "--" and text == "--":
+            # the flag argparse reads: the exact one, else the one it abbreviates
+            named = [o for o in options if o == flag] or [o for o in options if o.startswith(flag)]
+            if len(named) == 1 and named[0] in takes_value:
+                out += [flag, "--"]
+                continue
+        out.append(arg)
     return out
 
 
 def main(argv=None):
     code, error = 0, None
     try:
-        argv = _glue_boundary(sys.argv[1:] if argv is None else argv)
+        argv = _normalize(sys.argv[1:] if argv is None else argv)
         args = _parse(argv)
         if args is None:  # help or a usage fault: argparse words it
             args = build_parser(argv[0] if argv else None).parse_args(argv)

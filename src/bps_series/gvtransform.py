@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .laurent import coefficient, collect
 
@@ -129,13 +129,6 @@ def _kernel_rows(h_top, lambda_order):
         series = sin_power_series(1, 2 * h - 2, lambda_order)
         rows.append([series[2 * g - 2] for g in range(h_top + 1)])
     return rows
-
-
-@lru_cache(maxsize=None)
-def _multicover_scales(k, length):
-    """(k^(2g-3) for g < length): the lam^(2g-2) coefficient of
-    (1/k) f(k lam) is k^(2g-3) times that of f(lam)."""
-    return tuple(Fraction(k) ** (2 * g - 3) for g in range(length))
 
 
 def _check_windows(lambda_order, degree_order):
@@ -262,11 +255,6 @@ def iter_classes(rank, degree_weights, max_degree):
     return out
 
 
-def _divide_class(cls, k):
-    """cls / k when every component is divisible, else None."""
-    return None if any(c % k for c in cls) else tuple(c // k for c in cls)
-
-
 def _genus_denominators(rows, max_k):
     """(E_g for each genus g): one common denominator per genus that makes
     every E_g c_{h,g} an int and every k-th multicover of it exact for
@@ -279,6 +267,17 @@ def _genus_denominators(rows, max_k):
     if len(out) > 1:
         out[1] *= big_l
     return out
+
+
+def _add_multicover(t, s, k):
+    """t += the k-th multicover of the genus vector s, both scaled as in
+    _genus_denominators: the lam^(2g-2) coefficient of (1/k) f(k lam) is
+    k^(2g-3) times that of f(lam), and the scale makes g = 0, 1 exact."""
+    t[0] += s[0] // k**3
+    if len(s) > 1:
+        t[1] += s[1] // k
+    for g in range(2, len(s)):
+        t[g] += k ** (2 * g - 3) * s[g]
 
 
 def gw_from_gv(bps, lambda_order, degree_order=None):
@@ -319,12 +318,7 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
     acc = {}  # class -> E_g N_g
     for beta, s in vectors.items():
         for k in range(1, degree_order // bps.degree(beta) + 1):
-            t = acc.setdefault(tuple(k * c for c in beta), [0] * (max_genus + 1))
-            t[0] += s[0] // k**3
-            if max_genus:
-                t[1] += s[1] // k
-            for g in range(2, max_genus + 1):
-                t[g] += k ** (2 * g - 3) * s[g]
+            _add_multicover(acc.setdefault(tuple(k * c for c in beta), [0] * (max_genus + 1)), s, k)
     # every (g, k beta) lies in the window: write the entries unchecked
     gw = InvariantTable(GW, bps.rank, bps.degree_weights, max_genus, degree_order)
     gw.entries = {
@@ -340,11 +334,17 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
     """Invert the transform: the unique BPS table reproducing gw.
 
     Proceeds in increasing degree of beta.  The genus vector r_g = N_g(beta)
-    loses k^(2g-3) s_g(beta/k) for every k >= 2 dividing beta, where s is the
-    vector an earlier class had before peeling; then h = 0, 1, ... are peeled
-    against the k = 1 kernel rows of (2 sin(lam/2))^(2h-2), whose leading term
-    is lam^(2h-2).  Non-integer solutions raise NonIntegralBPS carrying the
-    exact rational; a nonzero remainder raises UnpeeledResidual.
+    loses k^(2g-3) s_g(beta/k) for every k >= 2 dividing gcd(beta), where s
+    is the vector the smaller class had before peeling; then h = 0, 1, ... are
+    peeled against the k = 1 kernel rows c_{h,g} of (2 sin(lam/2))^(2h-2),
+    whose leading term is lam^(2h-2).
+
+    The peel runs over int: genus g is carried as F_g r_g, with F_g the lcm
+    of the E_g of _genus_denominators and the denominators of the genus-g
+    input entries, so each multicover and each F_g c_{h,g} is an int, and
+    n_h(beta) is integral exactly when F_h divides F_h r_h.  A remainder
+    raises NonIntegralBPS carrying the exact rational; a nonzero vector left
+    after the peel raises UnpeeledResidual.
     """
     if gw.kind != GW:
         raise ValueError("gv_from_gw expects a GW table")
@@ -358,30 +358,35 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
             f"does not cover genus <= {h_max}, degree <= {degree_order}"
         )
     rows = _kernel_rows(h_max, lambda_order)
+    scales = _genus_denominators(rows, degree_order // min(gw.degree_weights))
+    entries = [(g, beta, v) for (g, beta), v in gw.entries.items() if g <= h_max]
+    for g, _, v in entries:
+        scales[g] = lcm(scales[g], v.denominator)
+    rows = [[int(f * c) for f, c in zip(scales, row)] for row in rows]
+    vectors = {}  # class -> F_g N_g
+    for g, beta, v in entries:
+        vectors.setdefault(beta, [0] * (h_max + 1))[g] = v.numerator * (scales[g] // v.denominator)
     bps = InvariantTable(BPS, gw.rank, gw.degree_weights, h_max, degree_order)
-    solved = {}  # class -> its genus vector before peeling
-    # the window check above covers every (g, beta) read and written below,
-    # so the loop reads and writes the entries directly
-    zero = Fraction(0)
+    solved = {}  # class -> -F_g r_g before peeling, so adding a multicover subtracts it
+    # the window check above covers every (g, beta) written below
     for beta in iter_classes(gw.rank, gw.degree_weights, degree_order):
-        r = [gw.entries.get((g, beta), zero) for g in range(h_max + 1)]
+        r = vectors.get(beta, [0] * (h_max + 1))
         # remove multicovers k >= 2 of strictly smaller classes
-        for k in range(2, max(beta) + 1):
-            source = _divide_class(beta, k)
-            if source is not None:
-                scale = _multicover_scales(k, h_max + 1)
-                r = [a - m * b for a, m, b in zip(r, scale, solved[source])]
-        solved[beta] = r
+        d = gcd(*beta)
+        for k in range(2, d + 1):
+            if d % k == 0:
+                _add_multicover(r, solved[tuple(c // k for c in beta)], k)
+        solved[beta] = [-x for x in r]
         for h, row in enumerate(rows):
-            c = r[h]
-            if not c:
-                continue
-            if c.denominator != 1:
-                raise NonIntegralBPS(beta, h, c)
-            bps.entries[(h, beta)] = int(c)
-            r = r[:h] + [a - c * b for a, b in zip(r[h:], row[h:])]
+            if r[h]:
+                n, rest = divmod(r[h], scales[h])
+                if rest:
+                    raise NonIntegralBPS(beta, h, Fraction(r[h], scales[h]))
+                bps.entries[(h, beta)] = n
+                for g in range(h, h_max + 1):
+                    r[g] -= n * row[g]
         if any(r):
-            residual = {2 * g - 2: c for g, c in enumerate(r)}
+            residual = {2 * g - 2: Fraction(c, f) for g, (c, f) in enumerate(zip(r, scales))}
             raise UnpeeledResidual(beta, LambdaSeries(residual, lambda_order))
     return bps
 

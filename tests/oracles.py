@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 
@@ -265,6 +266,29 @@ def triple_product_rhs(lambda_order: int, q_order: int) -> list[list[Fraction]]:
     return [lam_mul(row, prefactor) for row in rows]
 
 
+def _multicover_kernel(k: int, h: int, lambda_order: int) -> dict[int, Fraction]:
+    """The k-th multicover kernel without its 1/k, (2 - 2 cos(k lam))^(h-1), as
+    {lambda exponent: coeff} up to lam^lambda_order.  (2 - 2cos)^(-1) comes
+    from a series division, higher powers from repeated multiplication."""
+    if h == 0:
+        # 2 - 2cos(k lam) = k^2 lam^2 (1 + a_1 lam^2 + ...): invert the bracket
+        t = two_minus_two_cos(k, lambda_order + 4)
+        a = [t.get(2 * j + 2, Fraction(0)) / k**2 for j in range(lambda_order // 2 + 2)]
+        b = [Fraction(1)]
+        for m in range(1, len(a)):
+            b.append(-sum((a[j] * b[m - j] for j in range(1, m + 1)), Fraction(0)))
+        return {2 * m - 2: c / k**2 for m, c in enumerate(b) if 2 * m - 2 <= lambda_order}
+    out = {0: Fraction(1)}
+    for _ in range(h - 1):
+        nxt: dict[int, Fraction] = {}
+        for e1, c1 in out.items():
+            for e2, c2 in two_minus_two_cos(k, lambda_order).items():
+                if e1 + e2 <= lambda_order:
+                    nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+        out = nxt
+    return {e: c for e, c in out.items() if e <= lambda_order}
+
+
 def gw_from_bps(
     entries: dict[tuple[int, tuple[int, ...]], int],
     degree_weights: tuple[int, ...],
@@ -277,35 +301,63 @@ def gw_from_bps(
         sum_{k >= 1} n_h(beta) (1/k) (2 - 2 cos(k lam))^(h-1) at class k beta,
 
     read at lam^(2g-2) for 2g - 2 <= lambda_order and deg(k beta) <=
-    degree_order.  (2 - 2cos)^(-1) comes from a series division, higher
-    powers from repeated multiplication, one (h, k) at a time."""
-
-    def kernel(k: int, h: int) -> dict[int, Fraction]:
-        if h == 0:
-            # 2 - 2cos(k lam) = k^2 lam^2 (1 + a_1 lam^2 + ...): invert the bracket
-            t = two_minus_two_cos(k, lambda_order + 4)
-            a = [t.get(2 * j + 2, Fraction(0)) / k**2 for j in range(lambda_order // 2 + 2)]
-            b = [Fraction(1)]
-            for m in range(1, len(a)):
-                b.append(-sum((a[j] * b[m - j] for j in range(1, m + 1)), Fraction(0)))
-            return {2 * m - 2: c / k**2 for m, c in enumerate(b) if 2 * m - 2 <= lambda_order}
-        out = {0: Fraction(1)}
-        for _ in range(h - 1):
-            nxt: dict[int, Fraction] = {}
-            for e1, c1 in out.items():
-                for e2, c2 in two_minus_two_cos(k, lambda_order).items():
-                    if e1 + e2 <= lambda_order:
-                        nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
-            out = nxt
-        return {e: c for e, c in out.items() if e <= lambda_order}
-
+    degree_order, one (h, k) kernel at a time."""
     total: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for (h, beta), n in entries.items():
         degree = sum(w * c for w, c in zip(degree_weights, beta))
         k = 1
         while k * degree <= degree_order:
-            for e, c in kernel(k, h).items():
+            for e, c in _multicover_kernel(k, h, lambda_order).items():
                 key = ((e + 2) // 2, tuple(k * x for x in beta))
                 total[key] = total.get(key, Fraction(0)) + Fraction(n, k) * c
             k += 1
     return {key: v for key, v in total.items() if v}
+
+
+def gv_from_gw_fractions(
+    entries: dict[tuple[int, tuple[int, ...]], Fraction],
+    degree_weights: tuple[int, ...],
+    lambda_order: int,
+    degree_order: int,
+) -> tuple:
+    """Invert the multicover sum over Fraction: the BPS numbers {(h, class):
+    n_h} for h <= h_max = (lambda_order + 2) // 2 whose image is the GW values
+    {(g, class): N_g}, read for g <= h_max and deg <= degree_order.
+
+    Classes are solved in increasing (degree, components).  The genus vector
+    r_g = N_g(beta) loses k^(2g-3) times the pre-peel vector of beta/k for
+    every k >= 2 dividing beta; then h = 0, 1, ... are peeled against the
+    k = 1 kernel rows (2 - 2 cos lam)^(h-1), whose leading term is lam^(2h-2).
+
+    Returns ("table", {(h, class): n_h}); or ("non-integral", class, h,
+    value) at the first n_h that is not an integer; or ("residual", class,
+    {lambda exponent: value}) when the peel leaves a nonzero vector."""
+    rank = len(degree_weights)
+    h_max = (lambda_order + 2) // 2
+    kernels = [_multicover_kernel(1, h, lambda_order) for h in range(h_max + 1)]
+    rows = [[kernel.get(2 * g - 2, Fraction(0)) for g in range(h_max + 1)] for kernel in kernels]
+    classes = sorted(
+        (sum(w * c for w, c in zip(degree_weights, cls)), cls)
+        for cls in product(range(degree_order + 1), repeat=rank)
+        if any(cls) and sum(w * c for w, c in zip(degree_weights, cls)) <= degree_order
+    )
+    bps: dict[tuple[int, tuple[int, ...]], int] = {}
+    solved: dict[tuple[int, ...], list[Fraction]] = {}
+    for _, beta in classes:
+        r = [Fraction(entries.get((g, beta), 0)) for g in range(h_max + 1)]
+        for k in range(2, max(beta) + 1):
+            if all(c % k == 0 for c in beta):
+                source = solved[tuple(c // k for c in beta)]
+                r = [a - Fraction(k) ** (2 * g - 3) * b for g, (a, b) in enumerate(zip(r, source))]
+        solved[beta] = r
+        for h, row in enumerate(rows):
+            c = r[h]
+            if not c:
+                continue
+            if c.denominator != 1:
+                return ("non-integral", beta, h, c)
+            bps[(h, beta)] = int(c)
+            r = r[:h] + [a - c * b for a, b in zip(r[h:], row[h:])]
+        if any(r):
+            return ("residual", beta, {2 * g - 2: c for g, c in enumerate(r) if c})
+    return ("table", bps)

@@ -579,6 +579,31 @@ def test_usage_faults_exit_2_with_one_line(tmp_path, capsys, argv, fragment):
     assert fragment in line and "Traceback" not in line
 
 
+# every value flag of the transform subcommands, and --boundary, after the
+# flags each subcommand requires
+DASH_VALUE_ARGV = [
+    *(
+        [command, *(["--in", "t.json"] if flag != "--in" else []), flag]
+        for command in ("gv-from-gw", "gw-from-gv", "roundtrip-check")
+        for flag in ("--in", "--lambda-order", "--degree", "--out")
+    ),
+    ["anomaly-solve", "--n", "1", "--g", "0", "--table", "z.json", "--boundary"],
+]
+
+
+@pytest.mark.parametrize("argv", DASH_VALUE_ARGV, ids=[f"{a[0]} {a[-1]}" for a in DASH_VALUE_ARGV])
+def test_flag_equals_dashes_is_a_missing_value(tmp_path, monkeypatch, capsys, argv):
+    # argparse up to 3.12 dropped the "--" of "--in=--" and handed the handler
+    # an empty list ("expected str, bytes or os.PathLike object, not list"),
+    # and 3.13 took "--" for the value; "--in --" always gave this line
+    monkeypatch.chdir(tmp_path)
+    *head, flag = argv
+    for tail in ([f"{flag}=--"], [flag, "--"], [f"{flag[:4]}=--"]):  # "--la=--" abbreviates
+        assert cli.main([*head, *tail]) == 2, tail
+        assert capsys.readouterr() == ("", f"error: argument {flag}: expected one argument\n")
+    assert not any(tmp_path.iterdir())
+
+
 def series_doc(s):
     """The series document as a dict: the reference for the bytes of
     serialize.series_to_json."""

@@ -332,10 +332,10 @@ def test_fast_parser_agrees_with_argparse(tmp_dir, argv):
     argv = [arg.replace(OUT, str(out)) for arg in argv]
     echoing = {name: (echo, *row[1:]) for name, row in cli.COMMANDS.items()}
     with patch.dict(cli.COMMANDS, echoing):
-        glued = cli._glue_boundary(argv)
-        parsed = cli._parse(glued)
+        normal = cli._normalize(argv)
+        parsed = cli._parse(normal)
         if parsed is not None:
-            assert vars(parsed) == vars(cli.build_parser(glued[0]).parse_args(glued)), argv
+            assert vars(parsed) == vars(cli.build_parser(normal[0]).parse_args(normal)), argv
         first = run_main(argv, out)
         with patch.object(cli, "_parse", lambda argv: None):
             assert run_main(argv, out) == first, argv

@@ -14,6 +14,7 @@ from bps_series.gvtransform import (
     InvariantTable,
     LambdaSeries,
     NonIntegralBPS,
+    UnpeeledResidual,
     gv_from_gw,
     gw_from_gv,
     iter_classes,
@@ -407,3 +408,82 @@ def test_high_multiplicity_assembly_matches_oracle():
     assert {g for g, _ in gw.entries} == {0, 1, 2}
     assert (0, (60,)) in gw.entries and (2, (60,)) in gw.entries
     assert all(type(v) is Fraction for v in gw.entries.values())
+
+
+@st.composite
+def gv_inversion_cases(draw):
+    """(gw table, lambda_order, degree_order) over rank 1-3, degree weights
+    1..3, lambda orders from -2 up to the table's top genus, and
+    degree_order up to its max_degree.  The GW table is the image of a BPS
+    table one genus above the BPS window, so it holds genera above h_max
+    whenever lambda_order is low.  Up to three values at any genus and class
+    are shifted by integers or fractions, and half the cases shift one value
+    inside both windows by a fraction."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)))
+    max_degree = draw(st.integers(min_value=0, max_value=7))
+    max_genus = draw(st.integers(min_value=0, max_value=4))
+    classes = list(iter_classes(rank, weights, max_degree))
+    entries = {}
+    if classes:
+        slots = st.tuples(st.integers(0, max_genus), st.sampled_from(classes))
+        entries = draw(st.dictionaries(slots, st.integers(-9, 9).filter(bool), max_size=8))
+    bps = InvariantTable("bps", rank, weights, max_genus, max_degree, entries)
+    gw = gw_from_gv(bps, 2 * max_genus, max_degree)
+    lambda_order = draw(st.integers(min_value=-2, max_value=2 * max_genus))
+    degree_order = draw(st.integers(min_value=0, max_value=max_degree))
+    inside = [cls for cls in classes if gw.degree(cls) <= degree_order]
+    shifted = {}
+    if classes:
+        slots = st.tuples(st.integers(0, gw.max_genus), st.sampled_from(classes))
+        shifts = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+        shifted = draw(st.dictionaries(slots, shifts, max_size=3))
+    if inside and draw(st.booleans()):  # one shift inside both windows
+        slot = (draw(st.integers(0, (lambda_order + 2) // 2)), draw(st.sampled_from(inside)))
+        shifted[slot] = draw(st.builds(Fraction, st.integers(1, 9), st.integers(2, 7)))
+    for (g, cls), shift in shifted.items():
+        gw.set(g, cls, gw.get(g, cls) + shift)
+    return gw, lambda_order, degree_order
+
+
+def inversion_outcome(gw, lambda_order, degree_order):
+    """gv_from_gw's result in the form of oracles.gv_from_gw_fractions."""
+    try:
+        bps = gv_from_gw(gw, lambda_order, degree_order)
+    except NonIntegralBPS as exc:
+        return ("non-integral", exc.cls, exc.h, exc.value)
+    except UnpeeledResidual as exc:
+        return ("residual", exc.cls, exc.residual.coeffs)
+    assert (bps.max_genus, bps.max_degree) == ((lambda_order + 2) // 2, degree_order)
+    assert all(type(n) is int for n in bps.entries.values())
+    return ("table", bps.entries)
+
+
+@given(gv_inversion_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_peel_matches_fraction_peel(case):
+    gw, lambda_order, degree_order = case
+    expected = oracles.gv_from_gw_fractions(gw.entries, gw.degree_weights, lambda_order, degree_order)
+    got = inversion_outcome(gw, lambda_order, degree_order)
+    assert got == expected
+    if expected[0] == "non-integral":
+        assert type(got[3]) is Fraction and got[3].denominator != 1
+
+
+@pytest.mark.parametrize(
+    "weights, lambda_order, degree_order",
+    [((1,), -2, 6), ((1, 2), 0, 5), ((2, 3), 3, 6), ((1, 2, 3), 4, 4), ((1, 1), 2, 3)],
+)
+def test_integer_peel_matches_fraction_peel_on_dense_tables(weights, lambda_order, degree_order):
+    # every slot up to degree 6 and genus 4 filled, so the GW table holds
+    # genera up to 5, above each lambda window; then the last class of degree
+    # 6 is moved off the image by 1/7 at genus 0
+    rank, max_genus = len(weights), 4
+    classes = list(iter_classes(rank, weights, 6))
+    entries = {(h, cls): (-1) ** h * (h + 2) for cls in classes for h in range(max_genus + 1)}
+    gw = gw_from_gv(InvariantTable("bps", rank, weights, max_genus, 6, entries), 2 * max_genus)
+    for off in (Fraction(0), Fraction(1, 7)):
+        gw.set(0, classes[-1], gw.get(0, classes[-1]) + off)
+        expected = oracles.gv_from_gw_fractions(gw.entries, weights, lambda_order, degree_order)
+        assert inversion_outcome(gw, lambda_order, degree_order) == expected
+    assert expected[0] == ("non-integral" if degree_order == 6 else "table")
