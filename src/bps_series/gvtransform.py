@@ -360,8 +360,10 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
     rows = _kernel_rows(h_max, lambda_order)
     scales = _genus_denominators(rows, degree_order // min(gw.degree_weights))
     entries = [(g, beta, v) for (g, beta), v in gw.entries.items() if g <= h_max]
+    denominators = [set() for _ in scales]
     for g, _, v in entries:
-        scales[g] = lcm(scales[g], v.denominator)
+        denominators[g].add(v.denominator)
+    scales = [lcm(f, *ds) for f, ds in zip(scales, denominators)]
     rows = [[int(f * c) for f, c in zip(scales, row)] for row in rows]
     vectors = {}  # class -> F_g N_g
     for g, beta, v in entries:

@@ -279,41 +279,71 @@ def euler_int_layers(specs, order, nvars):
         N * P_N = sum_{K=1}^{N} b_K * P_{N-K},
         b_K = -sum_{(exps, c, e)} e * sum_{n | K} n * m^(K/n),
 
-    where q d/dq log P = sum_K b_K q^K.  P has integer coefficients, so the
-    division by N is exact and no Fraction is ever made.  Each exponent tuple
-    is packed into the int sum_i exps[i] * base^i: all exponents stay within
-    span = order * max|exps| of 0, so with base = 2 * span + 1 monomial
-    products are int additions; the tuples are unpacked once at the end.
+    where q d/dq log P = sum_K b_K q^K, run over Kronecker-packed ints.  With
+    s = max|exps|, every exponent of b_K and P_K has its digits in [-K s, K s],
+    so with base = 2 * order * s + 1 and shift = sum_i s * base^i an exponent
+    tuple packs into key = sum_i exps[i] * base^i and key + K * shift has all
+    its digits in [0, base).  P_N is stored as one int, its value at X = 2^w
+    with each term at X^(key + N * shift), and b_K likewise at K * shift, so
+    each recurrence term b_K * P_{N-K} is one big-int multiply.  P has integer
+    coefficients, so N divides the packed sum and P_N = acc // N exactly; no
+    layer is unpacked before the end and no Fraction is ever made.
+
+    The width w must hold every coefficient as a signed digit.  The l1
+    majorant m_N = [q^N] prod_n prod_specs (1 - |c| q^n)^(-|e|), run through
+    the same recurrence over plain ints, bounds every |coefficient| of P_N,
+    so w = 8 * ceil((bits(max m) + 1) / 8) suffices.  That bound is the whole
+    width check: it uses no assert, so python -O runs the same code.  Each
+    layer is unpacked once: 2^(w-1) is added to every digit, the int is
+    written out with to_bytes and cut into w/8-byte digits.  With nvars == 0
+    every key is 0, so each layer is one plain int, with no width and no
+    unpacking.
     """
     for i, (exps, c, e) in enumerate(specs):
         if len(exps) != nvars:
             raise ValueError(f"every exponent tuple must have {nvars} entries")
         if any(type(x) is not int for x in (*exps, c, e)):
             raise ValueError(f"specs[{i}] = {(exps, c, e)!r}: exponents, c and e must be int")
-    span = order * max((abs(a) for exps, _, _ in specs for a in exps), default=0)
-    base = 2 * span + 1
-    b = [{} for _ in range(order + 1)]
-    for exps, c, e in specs:
-        key = sum(a * base**i for i, a in enumerate(exps))
-        for n in range(1, order + 1):
-            for j in range(1, order // n + 1):
-                b[n * j][j * key] = b[n * j].get(j * key, 0) - e * n * c**j
-    p = [{0: 1}]
+    s = max((abs(a) for exps, _, _ in specs for a in exps), default=0)
+    base = 2 * order * s + 1
+    shift = sum(s * base**i for i in range(nvars))
+    keys = [(sum(a * base**i for i, a in enumerate(exps)), c, e) for exps, c, e in specs]
+    if nvars == 0:
+        return [{(): v} if v else {} for v in _packed_layers(keys, order, 0, 0)]
+    top = max(_packed_layers([(0, abs(c), -abs(e)) for _, c, e in specs], order, 0, 0))
+    w = 8 * -(-(top.bit_length() + 1) // 8)
+    width = w // 8
+    half = 1 << (w - 1)
+    zero = half.to_bytes(width, "little")  # a zero digit once half is added
+    # the exponent tuples of the keys -span..span, in slot order
+    span = order * shift
+    powers = [base**i for i in range(nvars)]
+    tuples = [tuple([j // p % base - order * s for p in powers]) for j in range(2 * span + 1)]
+    layers = []
+    for big_n, packed in enumerate(_packed_layers(keys, order, w, shift)):
+        slots = 2 * big_n * shift + 1
+        data = (packed + int.from_bytes(zero * slots, "little")).to_bytes(width * slots, "little")
+        digits = [data[i : i + width] for i in range(0, width * slots, width)]
+        layers.append(
+            {
+                key: int.from_bytes(digit, "little") - half
+                for key, digit in zip(tuples[(order - big_n) * shift :], digits)
+                if digit != zero
+            }
+        )
+    return layers
+
+
+def _packed_layers(keys, order, w, shift):
+    """[P_0, ..., P_order] of euler_int_layers as ints at X = 2^w, for specs
+    (packed key, c, e), each term of P_N at X^(key + N * shift)."""
+    b = [0] * (order + 1)
+    for key, c, e in keys:
+        for j in range(1, order + 1):
+            cj = c**j
+            for n in range(1, order // j + 1):
+                b[n * j] -= e * n * cj << w * j * (key + n * shift)
+    p = [1]
     for big_n in range(1, order + 1):
-        acc = {}
-        get = acc.get
-        for k in range(1, big_n + 1):
-            prev = p[big_n - k].items()
-            for kb, cb in b[k].items():
-                for kp, cp in prev:
-                    acc[kb + kp] = get(kb + kp, 0) + cb * cp
-        p.append({key: v // big_n for key, v in acc.items() if v})
-
-    # adding span to every digit puts them all in [0, base)
-    offset = sum(span * base**i for i in range(nvars))
-
-    def unpack(key):
-        key += offset
-        return tuple(key // base**i % base - span for i in range(nvars))
-
-    return [{unpack(k): v for k, v in layer.items()} for layer in p]
+        p.append(sum(map(mul, b[1 : big_n + 1], reversed(p))) // big_n)
+    return p

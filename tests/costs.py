@@ -1,11 +1,13 @@
 """Deterministic cost counters for tier-1 tests.
 
-A count of the Fraction objects a call makes does not depend on the
-machine, so a test can bound it where a wall-clock bound would be loose.
+A count of the Fraction objects a call makes, or of the C functions it
+calls, does not depend on the machine, so a test can bound it where a
+wall-clock bound would be loose.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -42,4 +44,23 @@ def fractions_made(fn, *args):
     """The number of Fractions that fn(*args) makes."""
     with counting_fractions() as count:
         fn(*args)
+    return count[0]
+
+
+def c_calls_made(fn, *args):
+    """The number of C functions (builtins and methods of built-in types)
+    that fn(*args) calls: the "c_call" events of a sys.setprofile hook, the
+    previous hook restored afterwards."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            count[0] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(saved)
     return count[0]

@@ -1,5 +1,5 @@
 """Cost bounds that do not depend on the machine: the number of Fraction
-objects a call makes.
+objects a call makes, and the number of C functions it calls.
 
 A count is fixed for a given call and interpreter.  Caches only lower it, so
 each bound, set above the count with cold caches, holds in any test order.
@@ -7,11 +7,12 @@ each bound, set above the count with cold caches, holds in any test order.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, mul
 
 import pytest
-from costs import counting_fractions, fractions_made
+from costs import c_calls_made, counting_fractions, fractions_made
 
 from bps_series.anomaly import triple_product_check
 from bps_series import gvtransform
@@ -28,6 +29,7 @@ from bps_series.gvtransform import (
     iter_classes,
     roundtrip_check,
 )
+from bps_series.qseries import eta_product, euler_int_layers
 
 
 def test_counter_sees_every_maker_and_restores_it():
@@ -42,6 +44,44 @@ def test_counter_sees_every_maker_and_restores_it():
         Fraction(2, 4) + Fraction(1, 2)
     assert count == [3]
     assert dict(vars(Fraction)) == saved
+
+
+def test_c_call_counter_sees_each_builtin_call_and_restores_the_hook():
+    def hook(frame, event, arg):
+        pass
+
+    saved = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        # the counter's own sys.setprofile on the way out is the one extra call
+        assert c_calls_made(lambda: None) == 1
+        assert c_calls_made(lambda: [abs(-1) for _ in range(5)]) == 6
+        assert sys.getprofile() is hook
+    finally:
+        sys.setprofile(saved)
+
+
+@pytest.mark.parametrize(
+    "build, args, bound",
+    [
+        # goettsche_series's specs for BettiVector(2, 4, 22, 4, 2): 1,040 C
+        # calls on CPython 3.11; the recurrence over dict terms made 52,950
+        (
+            euler_int_layers,
+            ([((-2,), 1, -2), ((-1,), -1, 4), ((0,), 1, -22), ((1,), -1, 4), ((2,), 1, -2)], 20, 1),
+            2_500,
+        ),
+        # refined_goettsche_res's half A(x): 428; 9,182 over dict terms
+        (euler_int_layers, ([((1,), 1, -1), ((-1,), 1, -1), ((0,), 1, -4)], 16, 1), 1_000),
+        # 82; 1,091 over dict terms
+        (eta_product, (-12, 24), 250),
+    ],
+    ids=["betti_spec", "refined_half", "eta_product"],
+)
+def test_euler_kernel_c_call_counts(build, args, bound):
+    # one big-int multiply per recurrence term; the dict recurrence made one
+    # dict.get per product of terms and fails every bound
+    assert c_calls_made(build, *args) <= bound
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,77 @@ def test_geom_factor_product_scalar_and_arity():
         geom_factor_product([((1,), 1, 1)], 3, 2)
 
 
+def _binomial_layers(specs, order, nvars):
+    """prod_n prod_specs (1 - c x^exps q^n)^e as {exps: nonzero int} per q-power,
+    multiplied out factor by factor from the binomial series
+    C(e, j) (-c)^j x^(j exps) q^(n j), with no recurrence."""
+    layers = [{(0,) * nvars: 1}] + [{} for _ in range(order)]
+    for exps, c, e in specs:
+        for n in range(1, order + 1):
+            terms = [
+                (n * j, tuple(j * a for a in exps), binomial_coeff(e, j) * (-c) ** j)
+                for j in range(order // n + 1)
+            ]
+            out = [{} for _ in range(order + 1)]
+            for big_n, layer in enumerate(layers):
+                for dq, dx, b in terms:
+                    if big_n + dq > order:
+                        break
+                    target = out[big_n + dq]
+                    for key, v in layer.items():
+                        key = tuple(x + y for x, y in zip(key, dx))
+                        target[key] = target.get(key, 0) + b * v
+            layers = [{k: v for k, v in layer.items() if v} for layer in out]
+    return layers
+
+
+@st.composite
+def kernel_inputs(draw):
+    nvars = draw(st.integers(min_value=0, max_value=2))
+    spec = st.tuples(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * nvars),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-40, max_value=40),
+    )
+    return draw(st.lists(spec, max_size=3)), draw(st.integers(min_value=0, max_value=10)), nvars
+
+
+@given(kernel_inputs())
+@settings(max_examples=60, deadline=None)
+def test_euler_kernel_matches_binomial_product(inputs):
+    # coefficients up to |c|^order C(|e| + order, order) test the packing width
+    specs, order, nvars = inputs
+    assert euler_int_layers(specs, order, nvars) == _binomial_layers(specs, order, nvars)
+
+
+def test_euler_kernel_width_holds_a_coefficient_equal_to_its_majorant():
+    # all of P_N sits on x^0 and equals the l1 majorant m_N, so a digit fills
+    # its width whenever bits(m_N) is a multiple of 8 (e = 1, 9, 18, ...); the
+    # c = 0 factor moves x^0 into a middle slot, where an overflow would carry
+    # on silently
+    for e in range(1, 41):
+        expect = [{(0,): v} for layer in _binomial_layers([((), 9, -e)], 10, 0) for v in layer.values()]
+        assert euler_int_layers([((0,), 9, -e), ((1,), 0, 1)], 10, 1) == expect
+
+
+@pytest.mark.parametrize(
+    "specs, order, nvars, power, bits",
+    [
+        ([((), 1, -1)], 40, 0, 300, 128),
+        ([((1,), 9, -1), ((-2,), -1, 1)], 10, 1, 40, 64),
+        ([((1,), 9, -3), ((-1,), 8, -2)], 16, 1, 60, 128),
+        ([((1, 0), 9, -1), ((0, 1), 9, -1)], 12, 2, 40, 64),
+    ],
+)
+def test_euler_kernel_big_coefficients_match_series_power(specs, order, nvars, power, bits):
+    # the power of the product goes through QSeries.__pow__, not the kernel's
+    # recurrence; eta_product(-1, 40) ** 300 == eta_product(-300, 40) is the first case
+    scaled = [(x, c, e * power) for x, c, e in specs]
+    layers = euler_int_layers(scaled, order, nvars)
+    assert max(abs(v) for layer in layers for v in layer.values()).bit_length() > bits
+    assert geom_factor_product(specs, order, nvars) ** power == geom_factor_product(scaled, order, nvars)
+
+
 @pytest.mark.parametrize(
     "build, index",
     [
