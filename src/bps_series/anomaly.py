@@ -499,21 +499,20 @@ def triple_product_check(lambda_order, q_order):
         raise ValueError("orders must be >= 2")
     k_max = lambda_order // 2
 
-    y_zero = QSeries.zero(k_max, var="y")
-
-    # left side: exp of the q^0 part times exp of the rest (q-major)
-    x0 = y_zero
-    rest_coeffs = [y_zero for _ in range(q_order + 1)]
-    for k in range(1, k_max + 1):
-        weight = 2 * zeta_even_ratio(k) / k
-        e_series = eisenstein(2 * k, q_order)
-        y_power = QSeries.zero(k_max, var="y")
-        y_power.coeffs[k] = Fraction(1)
-        x0 = x0 + weight * y_power
-        for m in range(1, q_order + 1):
-            rest_coeffs[m] = rest_coeffs[m] + (weight * e_series[m]) * y_power
-    # keep the q-major series on the left: the y-series factor then scales
-    # every q-coefficient instead of transposing the nesting
+    # left side: the exponent sum_k w_k E_{2k}(q) y^k, w_k = 2 zeta_ratio(k) / k,
+    # split at q^0, where every E_{2k} is 1, into x0 = sum_k w_k y^k and the
+    # rest, whose q^m coefficient is the y-series sum_k w_k E_{2k}[m] y^k
+    weights = [2 * zeta_even_ratio(k) / k for k in range(1, k_max + 1)]
+    e_series = [eisenstein(2 * k, q_order) for k in range(1, k_max + 1)]
+    x0 = QSeries([0, *weights], var="y")
+    rest_coeffs = [QSeries.zero(k_max, var="y")]
+    rest_coeffs += [
+        QSeries([0, *[w * e[m] for w, e in zip(weights, e_series)]], var="y")
+        for m in range(1, q_order + 1)
+    ]
+    # exp of the q^0 part times exp of the rest; keep the q-major series on
+    # the left: the y-series factor then scales every q-coefficient instead
+    # of transposing the nesting
     lhs = QSeries(rest_coeffs, var="q").exp() * x0.exp()
 
     rhs = triple_product_rhs(lambda_order, q_order)

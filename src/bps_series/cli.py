@@ -394,12 +394,9 @@ def _parse(argv):
     return SimpleNamespace(**args)
 
 
-def build_parser(command=None):
-    """The argparse parser of COMMANDS, which main uses only for a command
-    line that _parse refuses: help and usage faults.  When command names a
-    subcommand, only that subparser is built, which is all a command line
-    starting with it needs; otherwise all ten are, so that the top-level help
-    and the invalid-choice message list every subcommand."""
+def build_parser():
+    """The argparse parser of COMMANDS, all ten subcommands, which main uses
+    only for a command line that _parse refuses: help and usage faults."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -413,8 +410,7 @@ def build_parser(command=None):
         description="Exact-arithmetic BPS / Gromov-Witten series toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        func, help_line, flags = COMMANDS[name]
+    for name, (func, help_line, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func)
         groups = {}
@@ -469,7 +465,7 @@ def main(argv=None):
         argv = _normalize(sys.argv[1:] if argv is None else argv)
         args = _parse(argv)
         if args is None:  # help or a usage fault: argparse words it
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         try:
             text = args.func(args)
         except Exception as exc:

@@ -11,7 +11,6 @@ appears as a real number; only the exact rational zeta(2k)/(2pi)^{2k} does.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, isqrt
 
 from .qseries import QSeries, require_int
@@ -39,37 +38,19 @@ def bernoulli(n):
     return _bernoulli_cache[n]
 
 
-@lru_cache(maxsize=None)
-def _factorize(n):
-    """Prime factorization by trial division: ((p, multiplicity), ...)."""
-    out = []
-    d = 2
-    while d <= isqrt(n):
-        if n % d == 0:
-            m = 0
-            while n % d == 0:
-                n //= d
-                m += 1
-            out.append((d, m))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
-
-
 def divisor_sigma(k, n):
-    """sum of d**k over the divisors d of n, via the multiplicative formula
-    on the trial-division factorization."""
+    """sum of d**k over the divisors d of n, for ints k >= 0 and n >= 1.
+
+    The divisors pair up as (d, n // d) with d <= isqrt(n); a square's root
+    pairs with itself and is counted once."""
+    require_int(k=k, n=n)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 1
-    for p, m in _factorize(n):
-        if k == 0:
-            total *= m + 1
-        else:
-            pk = p**k
-            total *= (pk ** (m + 1) - 1) // (pk - 1)
-    return total
+    root = isqrt(n)
+    total = sum(d**k + (n // d) ** k for d in range(1, root + 1) if n % d == 0)
+    return total - root**k if root * root == n else total
 
 
 def eisenstein(weight, order):

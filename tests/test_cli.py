@@ -457,21 +457,13 @@ MINIMAL_ARGV = {
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_one_subparser_parses_as_the_full_parser(command, capsys):
-    one, full = cli.build_parser(command), cli.build_parser()
+    parser = cli.build_parser()
     argv = [command, *MINIMAL_ARGV[command]]
-    expected = vars(full.parse_args(argv))
-    assert vars(one.parse_args(argv)) == expected
-    # the table's own parser takes the line too, to the same namespace
-    assert vars(cli._parse(argv)) == expected
-    helps = []
-    for parser in (one, full):
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and helps[0].startswith(f"usage: bps-series {command} ")
-    other = next(name for name in SUBCOMMANDS if name != command)
-    with pytest.raises(cli.UsageError, match="invalid choice"):
-        one.parse_args([other, *MINIMAL_ARGV[other]])
+    # the table's own parser takes the line to argparse's namespace
+    assert vars(cli._parse(argv)) == vars(parser.parse_args(argv))
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    assert capsys.readouterr().out.startswith(f"usage: bps-series {command} ")
 
 
 # One fresh interpreter runs cli.main on each command line in turn and
@@ -530,11 +522,6 @@ def test_well_formed_jobs_never_import_argparse(tmp_path):
 )
 def test_help_and_usage_faults_go_through_argparse(argv, code):
     assert probe(argv) == [(code, True)]
-
-
-@pytest.mark.parametrize("first", ["--help", "-x", "no-such-command", "Eisenstein"])
-def test_parser_builds_every_subcommand_unless_one_is_named(first):
-    assert cli.build_parser(first).format_help() == cli.build_parser().format_help()
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,19 @@ def test_divisor_sigma_rejects_nonpositive():
         divisor_sigma(1, 0)
 
 
+def test_divisor_sigma_rejects_negative_power():
+    # sigma_{-1}(6) = 2 is not an int
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        divisor_sigma(-1, 6)
+
+
+# perfect squares, whose root pairs with itself, and 1001^2 = 7^2 11^2 13^2
+@pytest.mark.parametrize("n", [1, 4, 36, 1764, 1_002_001])
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+def test_divisor_sigma_counts_square_roots_once(power, n):
+    assert divisor_sigma(power, n) == oracles.divisor_sum(power, n)
+
+
 def test_eisenstein_expansions():
     e2 = eisenstein(2, 4)
     assert [e2[i] for i in range(5)] == [1, -24, -72, -96, -168]
@@ -87,6 +100,9 @@ REFUSALS = [
     (bernoulli, (True,), "n"),
     (zeta_even_ratio, (1.0,), "k"),
     (zeta_even_ratio, (True,), "k"),
+    (divisor_sigma, (1.5, 4), "k"),
+    (divisor_sigma, (True, 4), "k"),
+    (divisor_sigma, (1, 4.0), "n"),
 ]
 
 
