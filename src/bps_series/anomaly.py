@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import factorial
 
+from .gvtransform import _sin_power_cached
 from .laurent import coefficient, collect, mul_terms
 from .modular import eisenstein, zeta_even_ratio
 from .qseries import QSeries, eta_product, euler_int_layers, require_int
@@ -51,12 +52,17 @@ class GradedPoly:
     2a + 4b + 6c, all equal to the declared weight."""
 
     def __init__(self, weight, monomials=None):
+        if type(weight) is not int:  # the common case costs one type test
+            require_int(weight=weight)
         if weight < 0:
             raise WeightMismatch(f"weight must be >= 0, got {weight}")
         self.weight = weight
         pairs = []
         for key, coeff in (monomials or {}).items():
             a, b, c = key
+            if not type(a) is type(b) is type(c) is int:
+                names = (f"E{w} exponent of {key}" for w in (2, 4, 6))
+                require_int(**dict(zip(names, key)))
             if min(a, b, c) < 0:
                 raise ValueError(f"negative exponent in monomial {key}")
             if 2 * a + 4 * b + 6 * c != weight:
@@ -177,8 +183,6 @@ def integrate_e2(p):
 
 
 def _lookup(known, g, n):
-    if g < 0:
-        return GradedPoly(0)
     try:
         return known[(g, n)]
     except KeyError:
@@ -190,7 +194,7 @@ def anomaly_rhs(n, g, known):
 
     known maps (genus, fiber degree) -> GradedPoly and must contain every
     polynomial with fiber degree < n and genus <= g, plus (g-1, n) when
-    g >= 1; negative genus contributes zero.
+    g >= 1.
     """
     total = GradedPoly(max(2 * g + 6 * n - 4, 0))
     for s in range(1, n):
@@ -204,9 +208,8 @@ def anomaly_rhs(n, g, known):
 
 
 def _scalar_ratio(numerator, denominator):
-    """The constant c with numerator == c * denominator, or None."""
-    if not denominator:
-        return None
+    """The constant c with numerator == c * denominator, or None; the
+    denominator must be nonzero."""
     key, coeff = next(iter(sorted(denominator.monomials.items())))
     c = Fraction(numerator.monomials.get(key, 0), coeff)
     return c if numerator == c * denominator else None
@@ -417,8 +420,9 @@ def genus_series_n1(g_max, q_order):
     with Z_0 = E4 / prod (1-q^k)^12.  Returns [Z_0, ..., Z_{g_max}].
 
     The exponential is read off its product form, triple_product_rhs at
-    lambda order 2 g_max: Z_g = Z_0 * sum_m [q^m lam^(2g)] rhs * q^m.
-    triple_product_check verifies that product against the exponential.
+    lambda order 2 g_max, whose layers are series in y = lam^2:
+    Z_g = Z_0 * sum_m [q^m y^g] rhs * q^m.  triple_product_check verifies
+    that product against the exponential.
     """
     require_int(g_max=g_max, q_order=q_order)
     if g_max < 0 or q_order < 0:
@@ -426,27 +430,25 @@ def genus_series_n1(g_max, q_order):
     z0 = realize(GradedPoly.e4(), 1, q_order)
     rhs = triple_product_rhs(2 * g_max, q_order)
     return [
-        z0 * QSeries([rhs[m][2 * g] for m in range(q_order + 1)])
+        z0 * QSeries([rhs[m][g] for m in range(q_order + 1)])
         for g in range(g_max + 1)
     ]
 
 
 def triple_product_rhs(lambda_order, q_order):
     """The product side of triple_product_check, built in t = e^(i lam) as
-    described there: a q-series (order q_order) of lam-series (order
-    lambda_order).  Each q^m layer is computed in y = lam^2, to order
-    lambda_order // 2, and then written to the lam-series with its y^j
-    coefficient at lam^(2j) and 0 at every odd power of lam."""
+    described there: a q-series (order q_order) of y-series in y = lam^2
+    (order lambda_order // 2), whose y^j coefficient is that of lam^(2j)."""
     require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 0 or q_order < 0:
         raise ValueError(
             f"need lambda_order >= 0 and q_order >= 0, got {lambda_order} and {q_order}"
         )
     half = lambda_order // 2
-    # (2 - 2 cos lam)/lam^2 = sum_j 2 (-1)^j y^j / (2j+2)! = 1 - y/12 + ...
-    prefactor = QSeries(
-        [Fraction(2 * (-1) ** j, factorial(2 * j + 2)) for j in range(half + 1)], var="y"
-    ).inv()
+    # lam^2 / (2 - 2 cos lam) = lam^2 (2 sin(lam/2))^(-2): the transform's
+    # h = 0 kernel row, whose lam^(2j-2) coefficient is the y^j one here; every
+    # coefficient is positive, so the row keeps all its half + 1 terms
+    prefactor = QSeries([c for _, c in _sin_power_cached(-2, 2 * half - 2)], var="y")
 
     layers = euler_int_layers(
         [((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1
@@ -457,9 +459,7 @@ def triple_product_rhs(lambda_order, q_order):
         at_t = QSeries(
             [Fraction((-1) ** j * mo, factorial(2 * j)) for j, mo in enumerate(moments)], var="y"
         )
-        in_lam = [Fraction(0)] * (lambda_order + 1)
-        in_lam[::2] = (at_t * prefactor).coeffs
-        rhs_coeffs.append(QSeries(in_lam, var="lam"))
+        rhs_coeffs.append(at_t * prefactor)
     return QSeries(rhs_coeffs, var="q")
 
 
@@ -484,15 +484,17 @@ def triple_product_check(lambda_order, q_order):
         (-1)^j / (2j)! * sum_k c_{m,k} k^(2j),
 
     odd powers of lam vanish, and each q^m layer is then multiplied by the
-    prefactor.  Both sides are built as series in y = lam^2, to order
-    lambda_order // 2; the right side comes back in powers of lam.  The
-    check compares the left side's y^j coefficient with the right side's
-    lam^(2j) one, requires every odd lam^(2j+1) slot of the right side to be
-    0, and reports the first mismatch at its power of lam.  The two sides
-    stay independent: the left side is built from eisenstein and
+    prefactor: lam^2 times the h = 0 row (2 sin(lam/2))^(-2) of the BPS/GW
+    transform's kernel.  Both sides are series in y = lam^2, to order
+    lambda_order // 2.  The check compares their q^m y^j coefficients,
+    m-major, and reports the first mismatch at its power 2j of lam.  The
+    two sides stay independent: the left side is built from eisenstein and
     zeta_even_ratio, which the right side never calls, and the right side
-    from the Euler kernel, which the left side never calls, so a fault in
-    either shows up as a mismatch.
+    from the Euler kernel and the sin-power kernel, which the left side
+    never calls, so a fault in either shows up as a mismatch.  At q^0 the
+    product is the prefactor alone, so every call also checks the
+    transform's h = 0 kernel row against the Bernoulli numbers behind
+    zeta_even_ratio.
     """
     require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 2 or q_order < 2:
@@ -518,10 +520,9 @@ def triple_product_check(lambda_order, q_order):
     rhs = triple_product_rhs(lambda_order, q_order)
 
     first_mismatch = None
-    for m, e in product(range(q_order + 1), range(lambda_order + 1)):
-        want = Fraction(0) if e % 2 else lhs[m][e // 2]
-        if rhs[m][e] != want:
-            first_mismatch = {"lambda": e, "q": m, "lhs": want, "rhs": rhs[m][e]}
+    for m, j in product(range(q_order + 1), range(k_max + 1)):
+        if rhs[m][j] != lhs[m][j]:
+            first_mismatch = {"lambda": 2 * j, "q": m, "lhs": lhs[m][j], "rhs": rhs[m][j]}
             break
     return {
         "ok": first_mismatch is None,

@@ -50,6 +50,8 @@ class QSeries:
             )
         if order is None:
             order = len(coeffs) - 1
+        elif type(order) is not int:  # the common case costs one type test
+            require_int(order=order)
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         zero = coeffs[0] * 0
@@ -299,6 +301,9 @@ def euler_int_layers(specs, order, nvars):
     every key is 0, so each layer is one plain int, with no width and no
     unpacking.
     """
+    require_int(order=order)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     for i, (exps, c, e) in enumerate(specs):
         if len(exps) != nvars:
             raise ValueError(f"every exponent tuple must have {nvars} entries")

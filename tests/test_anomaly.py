@@ -150,6 +150,19 @@ def test_verification_fails_on_perturbed_table():
     assert first["difference"] is not None
 
 
+def test_verification_reports_a_family_with_no_constant():
+    # d_E2(E2^3) = 3 E2^2 is no multiple of the right side E4 / 12, so the
+    # family gets no constant and its entry fails, unscaled
+    table = [ZFunction(1, 0, GradedPoly.e4()), ZFunction(1, 1, GradedPoly(6, {(3, 0, 0): 1}))]
+    report = verify_anomaly(table)
+    assert report["all_ok"] is False
+    assert report["constants"] == {1: None}
+    entry = report["entries"][1]
+    assert (entry["ok"], entry["scaled_by"]) == (False, None)
+    assert entry["difference"] == GradedPoly(4, {(2, 0, 0): 3, (0, 1, 0): Fraction(-1, 12)})
+    assert report["normalized"][(1, 1)] is table[1].poly
+
+
 def _normalized_reference():
     return verify_anomaly(reference_solutions())["normalized"]
 
@@ -347,9 +360,10 @@ def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
     got = triple_product_rhs(lambda_order, q_order)
     assert got.order == q_order
     for m in range(q_order + 1):
-        assert got[m].order == lambda_order
-        for e in range(lambda_order + 1):
-            assert got[m][e] == expect[m][e], (m, e)
+        assert got[m].order == lambda_order // 2
+        for j in range(lambda_order // 2 + 1):
+            assert got[m][j] == expect[m][2 * j], (m, j)
+        assert not any(expect[m][1::2]), m
 
 
 def test_triple_product_check_is_fast():
@@ -393,20 +407,6 @@ def test_triple_product_check_catches_product_side_fault(monkeypatch, m):
     mismatch = result["first_mismatch"]
     assert (mismatch["lambda"], mismatch["q"]) == (0, m)
     assert mismatch["rhs"] - mismatch["lhs"] == 1
-
-
-def test_triple_product_check_reads_odd_lambda_slots(monkeypatch):
-    real_rhs = anomaly.triple_product_rhs
-
-    def odd_slot_set(lambda_order, q_order):  # the q^1 lam^3 coefficient, set to 1
-        rhs = real_rhs(lambda_order, q_order)
-        rhs.coeffs[1].coeffs[3] = 1
-        return rhs
-
-    monkeypatch.setattr(anomaly, "triple_product_rhs", odd_slot_set)
-    result = triple_product_check(8, 6)
-    assert result["ok"] is False
-    assert result["first_mismatch"] == {"lambda": 3, "q": 1, "lhs": 0, "rhs": 1}
 
 
 def test_triple_product_command_reports_mismatch(monkeypatch, tmp_path):

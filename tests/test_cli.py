@@ -281,9 +281,9 @@ def test_roundtrip_difference_payload(tmp_path, monkeypatch, capsys):
 def test_triple_product_mismatch_payload(tmp_path, monkeypatch, capsys):
     real_rhs = anomaly.triple_product_rhs
 
-    def shifted(lambda_order, q_order):  # the q^1 lam^2 coefficient, plus one
+    def shifted(lambda_order, q_order):  # the q^1 lam^2 = y^1 coefficient, plus one
         rhs = real_rhs(lambda_order, q_order)
-        rhs.coeffs[1].coeffs[2] += 1
+        rhs.coeffs[1].coeffs[1] += 1
         return rhs
 
     monkeypatch.setattr(anomaly, "triple_product_rhs", shifted)
@@ -387,6 +387,8 @@ def test_decimal_boundary_is_refused(tmp_path, capsys):
         ("gw-from-gv", "--degree", "-2", "argument --degree: must be >= 0, got -2"),
         ("gv-from-gw", "--degree", "-2", "argument --degree: must be >= 0, got -2"),
         ("roundtrip-check", "--degree", "-2", "argument --degree: must be >= 0, got -2"),
+        # within the flag's bound, but below what the table's genera need
+        ("roundtrip-check", "--lambda-order", "-2", "lambda_order -2 cannot resolve h <= 2"),
     ],
 )
 def test_negative_windows_are_refused(tmp_path, capsys, command, flag, value, message):

@@ -99,9 +99,10 @@ def test_hilbert_pipeline_makes_no_fraction(build, args):
 
 
 def test_triple_product_check_fraction_count():
-    # with cold caches: 10,012 on CPython 3.10/3.11 and 13,506 on 3.12/3.13;
-    # adding each exponent term into its own series made 15,515 and 19,852,
-    # and the term-by-term Fraction product 133,300
+    # with cold caches: 9,803 on CPython 3.10/3.11 and 13,340 on 3.12/3.13;
+    # inverting a cosine series for the prefactor made 10,012 and 13,506,
+    # adding each exponent term into its own series 15,515 and 19,852, and
+    # the term-by-term Fraction product 133,300
     assert fractions_made(triple_product_check, 20, 20) <= 15_000
 
 

@@ -24,6 +24,21 @@ from bps_series.gvtransform import (
 from bps_series.modular import divisor_sigma
 
 
+def test_transforms_refuse_the_other_kind_of_table():
+    bps = InvariantTable("bps", 1, (1,), 1, 3, {(0, (1,)): 1})
+    gw = gw_from_gv(bps, 0)
+    with pytest.raises(ValueError, match="^gw_from_gv expects a BPS table$"):
+        gw_from_gv(gw, 0)
+    with pytest.raises(ValueError, match="^gv_from_gw expects a GW table$"):
+        gv_from_gw(bps, 0)
+
+
+def test_gw_from_gv_refuses_degree_beyond_the_bps_window():
+    bps = InvariantTable("bps", 1, (1,), 1, 3, {(0, (1,)): 1})
+    with pytest.raises(InsufficientTruncation, match=r"^BPS table only covers degree <= 3, need 4$"):
+        gw_from_gv(bps, 0, 4)
+
+
 def test_sin_power_inverse_square():
     s = sin_power_series(1, -2, 6)
     assert s[-2] == 1

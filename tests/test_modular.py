@@ -114,6 +114,14 @@ def test_entry_points_refuse_non_int_arguments(func, args, name):
         func(*args)
 
 
+@pytest.mark.parametrize(
+    "func, arg, message", [(bernoulli, -1, "n must be >= 0"), (zeta_even_ratio, 0, "k must be >= 1")]
+)
+def test_entry_points_refuse_out_of_range_arguments(func, arg, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        func(arg)
+
+
 def test_zeta_even_ratio_values():
     # zeta(2k) / (2 pi)^(2k) for k = 1, 2, 3
     assert zeta_even_ratio(1) == Fraction(1, 24)

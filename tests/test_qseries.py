@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 from bps_series import qseries
+from bps_series.anomaly import GradedPoly
+from bps_series.goettsche import (
+    BettiVector,
+    bps_rational_elliptic,
+    goettsche_series,
+    refined_goettsche_res,
+)
 from bps_series.laurent import LaurentPoly
 from bps_series.qseries import (
     BadConstantTerm,
@@ -188,6 +196,18 @@ def test_exp_log_round_trip(tail):
     )
 
 
+def test_exp_log_round_trip_over_nested_series():
+    # log's recurrence subtracts coefficients of the coefficient ring; here
+    # those are y-series, so it runs QSeries.__sub__ and __neg__
+    def y(*cs):
+        return QSeries([Fraction(c) for c in cs], var="y")
+
+    s = QSeries([y(0, 0, 0), y(1, -2, 3), y(0, Fraction(1, 2), 0), y(5, 0, Fraction(-1, 3))])
+    assert s.exp().log() == s
+    assert s - s == 0 and -s + s == 0
+    assert (s - y(1, 1, 1))[0] == y(-1, -1, -1) and (-s)[1] == y(-1, 2, -3)
+
+
 def test_exp_log_constant_term_preconditions():
     with pytest.raises(BadConstantTerm):
         QSeries([Fraction(1), Fraction(2)]).exp()
@@ -345,6 +365,43 @@ def test_euler_kernel_refuses_non_int_specs(build, index):
     # the int recurrence would take these without an error and build a wrong product
     message = rf"^specs\[{index}\] = .*: exponents, c and e must be int$"
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+SIZE_REFUSALS = [
+    ("refined-bool", lambda: refined_goettsche_res(True), "order must be an int, got bool True"),
+    ("refined-float", lambda: refined_goettsche_res(2.0), "order must be an int, got float 2.0"),
+    ("refined-negative", lambda: refined_goettsche_res(-1), "order must be >= 0, got -1"),
+    ("bps-negative", lambda: bps_rational_elliptic(-1), "order must be >= 0, got -1"),
+    ("eta-float", lambda: eta_product(-1, 2.0), "order must be an int, got float 2.0"),
+    (
+        "goettsche-float",
+        lambda: goettsche_series(BettiVector(1, 0, 10, 0, 1), 2.0),
+        "order must be an int, got float 2.0",
+    ),
+    ("kernel-negative", lambda: euler_int_layers([], -1, 0), "order must be >= 0, got -1"),
+    ("series-float", lambda: QSeries([1], order=2.0), "order must be an int, got float 2.0"),
+    ("series-bool", lambda: QSeries([1], order=True), "order must be an int, got bool True"),
+    ("poly-weight", lambda: GradedPoly(4.0, {(0, 1, 0): 1}), "weight must be an int, got float 4.0"),
+    (
+        "poly-exponent",
+        lambda: GradedPoly(4, {(0.0, 1, 0): 1}),
+        "E2 exponent of (0.0, 1, 0) must be an int, got float 0.0",
+    ),
+    (
+        "poly-exponent-bool",
+        lambda: GradedPoly(6, {(1, True, 0): 1}),
+        "E4 exponent of (1, True, 0) must be an int, got bool True",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [c[1:] for c in SIZE_REFUSALS], ids=[c[0] for c in SIZE_REFUSALS]
+)
+def test_series_kernels_refuse_inexact_or_negative_sizes(build, message):
+    # each was accepted, or failed with an unrelated error, before the size checks
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         build()
 
 
