@@ -18,7 +18,8 @@ b = tL / tR it factors as A(a) A(b), where
     A(x) = prod_n 1 / ((1 - x q^n)(1 - x^(-1) q^n)(1 - q^n)^4),
 
 so refined_goettsche_res takes the integer layers of A from one call of the
-kernel's core qseries.euler_int_layers and multiplies them out.
+kernel's core qseries.euler_int_layers and makes each coefficient of A(a) A(b)
+as one dot product of two of A's columns, once per symmetry class.
 sym_power_series and nakajima_assembly expand their factors by the binomial
 series instead and never call the kernel, so the assembly stays an
 independent check of it.
@@ -38,6 +39,8 @@ the prefactor multiplying the product side is +1/u, the expansion of
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .laurent import LaurentPoly
 from .qseries import QSeries, binomial_coeff, euler_int_layers, geom_factor_product
@@ -139,24 +142,36 @@ def refined_goettsche_res(g_max):
     prod_n 1 / ((1 - (tL tR)^(-1) q^n)(1 - tL tR q^n)
                 (1 - tL tR^(-1) q^n)(1 - tL^(-1) tR q^n)(1 - q^n)^8),
 
-    built as A(a) A(b) with a = tL tR and b = tL / tR: layer N is
-    sum_i A_i(a) A_(N-i)(b) over int, and a^x b^y = tL^(x+y) tR^(x-y).
+    built as A(a) A(b) with a = tL tR and b = tL / tR, where a^x b^y =
+    tL^(x+y) tR^(x-y).  With the column a_x(q) = sum_i [x^x]A_i q^i, the
+    coefficient of q^N a^x b^y is [q^N] a_x a_y, one integer dot product.
+    A(x) = A(1/x) gives a_x = a_(-x), and the product is commutative, so that
+    coefficient depends only on {|x|, |y|}: it is computed once for each
+    x >= y >= 0 with x + y <= N and stored at its 8 images (+-X, +-Y) and
+    (+-Y, +-X), X = x + y, Y = x - y.  [x^x]A_i is 0 for |x| > i and positive
+    otherwise (every factor of A has positive coefficients), so these are
+    exactly the nonzero terms.
     """
-    half = [
-        list(layer.items())
-        for layer in euler_int_layers([((1,), 1, -1), ((-1,), 1, -1), ((0,), 1, -4)], g_max, 1)
-    ]
+    half = euler_int_layers([((1,), 1, -1), ((-1,), 1, -1), ((0,), 1, -4)], g_max, 1)
+    cols = [[0] * (g_max + 1) for _ in range(g_max + 1)]
+    for i, layer in enumerate(half):
+        for (x,), c in layer.items():
+            if x >= 0:
+                cols[x][i] = c
+    rcols = [col[::-1] for col in cols]
     layers = []
     for n in range(g_max + 1):
-        acc = {}
-        get = acc.get
-        for i in range(n + 1):
-            right = half[n - i]
-            for (x,), ca in half[i]:
-                for (y,), cb in right:
-                    key = (x + y, x - y)
-                    acc[key] = get(key, 0) + ca * cb
-        layers.append(LaurentPoly._of({e: c for e, c in acc.items() if c}, 2))
+        terms = {}
+        for x in range(n + 1):
+            col = cols[x]
+            # [q^n] a_x a_y = sum_(i = x)^(n - y) a_x[i] a_y[n - i]
+            for y in range(min(x, n - x) + 1):
+                c = sum(map(mul, col[x : n - y + 1], rcols[y][g_max - n + x : g_max - y + 1]))
+                big, small = x + y, x - y
+                terms[big, small] = terms[-big, small] = terms[big, -small] = c
+                terms[-big, -small] = terms[small, big] = terms[-small, big] = c
+                terms[small, -big] = terms[-small, -big] = c
+        layers.append(LaurentPoly._of(terms, 2))
     return QSeries(layers, g_max)
 
 

@@ -24,6 +24,7 @@ from itertools import chain
 from math import factorial, gcd, lcm
 
 from .laurent import coefficient, collect
+from .qseries import require_int
 
 GW = "gw"
 BPS = "bps"
@@ -112,6 +113,7 @@ def sin_power_series(k, exponent, lambda_order):
     cached per (exponent, lambda_order); with x = k lam the lam^n coefficient
     is k^n times that of x^n.
     """
+    require_int(k=k, exponent=exponent, lambda_order=lambda_order)
     if k < 1:
         raise ValueError("k must be >= 1")
     if exponent % 2 or exponent < -2:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import partial
 from operator import add, mul
 
 import pytest
 from costs import c_calls_made, counting_fractions, fractions_made
 
 from bps_series.anomaly import triple_product_check
-from bps_series import gvtransform
+from bps_series import gvtransform, sl2
 from bps_series.goettsche import (
     BettiVector,
     bps_rational_elliptic,
@@ -96,6 +97,37 @@ def test_hilbert_pipeline_makes_no_fraction(build, args):
     # the integer Euler kernel's layers are stored and peeled as ints; wrapping
     # them in Fractions made 6,851, 3,281 and 861 here
     assert fractions_made(build, *args) == 0
+
+
+def _bps_from_character_of_layer(g):
+    layer = refined_goettsche_res(g)[g]
+    sl2.i_basis_char.cache_clear()
+    return c_calls_made(sl2.bps_from_character, layer)
+
+
+def _bps_rational_elliptic(g):
+    sl2.i_basis_char.cache_clear()
+    return c_calls_made(bps_rational_elliptic, g)
+
+
+@pytest.mark.parametrize(
+    "count, arg, bound",
+    [
+        # 1,163 on CPython 3.10-3.13; the loop over pairs of half-layer
+        # terms made 16,159
+        (partial(c_calls_made, refined_goettsche_res), 16, 2_000),
+        # with a cold i_basis_char cache: 3,225; peeling dict rows of tR
+        # exponents made 9,368
+        (_bps_from_character_of_layer, 14, 5_000),
+        # 16,263; the pair loop and the dict-row peel made 50,737
+        (_bps_rational_elliptic, 14, 25_000),
+    ],
+    ids=["refined_goettsche_res", "bps_from_character", "bps_rational_elliptic"],
+)
+def test_hilbert_pipeline_c_call_counts(count, arg, bound):
+    # one dot product per symmetry class of refined coefficients, and one
+    # packed int per tR row in the peel
+    assert count(arg) <= bound
 
 
 def test_triple_product_check_fraction_count():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -123,6 +124,23 @@ def test_sin_power_validation():
         sin_power_series(1, 1, 4)
     with pytest.raises(ValueError):
         sin_power_series(1, -4, 4)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, 2, 4), "k must be an int, got float 1.0"),
+        ((True, 2, 4), "k must be an int, got bool True"),
+        ((2, 2.0, 4), "exponent must be an int, got float 2.0"),
+        ((2, Fraction(2), 4), "exponent must be an int, got Fraction Fraction(2, 1)"),
+        ((2, 2, 4.0), "lambda_order must be an int, got float 4.0"),
+        # the type test comes before the range checks
+        ((0.0, 1, 4), "k must be an int, got float 0.0"),
+    ],
+)
+def test_sin_power_series_refuses_non_int_sizes_by_name(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sin_power_series(*args)
 
 
 def test_lambda_series_sum_keeps_the_smaller_order():

@@ -49,6 +49,36 @@ def test_i_basis_char_small():
         assert i_basis_char(h).terms[(h,)] == (-1) ** h
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spin_char(-2), "spins must be >= 0"),
+        (lambda: spin_char(True), "two_j must be an int, got bool True"),
+        (lambda: spin_char(1.0), "two_j must be an int, got float 1.0"),
+        (lambda: i_basis_char(-1), "I-basis levels must be >= 0"),
+        (lambda: i_basis_char(2.0), "h must be an int, got float 2.0"),
+        # the cache is typed: True is refused after the equal int 1 is cached
+        (lambda: (i_basis_char(1), i_basis_char(True)), "h must be an int, got bool True"),
+        (lambda: signed_char({-1: 1}), "spins must be >= 0"),
+        (lambda: signed_char({True: 1}), "two_j must be an int, got bool True"),
+        (lambda: signed_char({1: 1.5}), "multiplicity must be an int, got float 1.5"),
+        (lambda: signed_char({1: True}), "multiplicity must be an int, got bool True"),
+        (
+            lambda: spin_to_I_basis({0: Fraction(1, 2)}),
+            "multiplicity must be an int, got Fraction Fraction(1, 2)",
+        ),
+    ],
+    ids=[
+        "spin-negative", "spin-bool", "spin-float", "level-negative", "level-float",
+        "level-bool-after-int", "signed-negative-spin", "signed-bool-spin",
+        "signed-float-multiplicity", "signed-bool-multiplicity", "I-basis-fraction-multiplicity",
+    ],
+)
+def test_bad_spins_levels_and_multiplicities_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_spin_to_I_basis_table():
     assert spin_to_I_basis({0: 1}) == {0: 1}
     assert spin_to_I_basis({1: 1}) == {1: 1, 0: -2}
@@ -248,8 +278,41 @@ def test_big_characters_round_trip_over_int(mult):
     assert all_ints(n.values())
     expected = {h: signed_char(layer).eval_ones() for h, layer in layers.items()}
     assert n == {h: v for h, v in expected.items() if v}
+    # n_h is the signed dimension of the layer's spins: sum (-1)^(2j) (2j + 1) m
+    dims = {
+        h: sum((-1) ** two_j * (two_j + 1) * m for two_j, m in layer.items())
+        for h, layer in layers.items()
+    }
+    assert n == {h: v for h, v in dims.items() if v}
     assert u_expand(p.subs_one(1)) == n and all_ints(u_expand(p.subs_one(1)).values())
 
     right = p.subs_one(0)
     spins = decompose_spins(right)
     assert all_ints(spins.values()) and signed_char(spins) == right
+
+
+@pytest.mark.parametrize(
+    "terms, n",
+    [
+        # tR digits of 2^70 that cancel to 3 at tR = 1
+        ({(0, 2): 2**70, (0, 0): 3 - 2**71, (0, -2): 2**70}, {0: 3}),
+        # one digit as large as its l1 majorant, of either sign
+        ({(0, 0): 2**64}, {0: 2**64}),
+        ({(0, 0): -(2**64)}, {0: -(2**64)}),
+        # char(I_1)(tL) * char((1/2))(tR): a negative n_1
+        ({(0, 1): -2, (0, -1): -2, (1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}, {1: -2}),
+        # 3M + M (tL + 1/tL)(tR^2 + 1/tR^2) is 7M - 2M u at tR = 1, M = 2^80
+        ({(0, 0): 3 * 2**80, (1, 2): 2**80, (-1, 2): 2**80, (1, -2): 2**80, (-1, -2): 2**80},
+         {0: 7 * 2**80, 1: -(2**81)}),
+    ],
+    ids=["cancelling-digits", "big-positive", "big-negative", "negative-n1", "big-negative-n1"],
+)
+def test_packed_rows_read_back_exactly(terms, n):
+    p = LaurentPoly(terms, nvars=2)
+    assert bps_from_character(p) == n
+    layers = i_basis_layers(p)
+    total = LaurentPoly(nvars=2)
+    for h, layer in layers.items():
+        total = total + i_basis_char(h).embed(2, 0) * signed_char(layer).embed(2, 1)
+    assert total == p
+    assert bi_char(bi_decompose(p)) == p
