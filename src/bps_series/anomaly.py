@@ -485,8 +485,11 @@ def triple_product_check(lambda_order, q_order):
 
     odd powers of lam vanish, and each q^m layer is then multiplied by the
     prefactor: lam^2 times the h = 0 row (2 sin(lam/2))^(-2) of the BPS/GW
-    transform's kernel.  Both sides are series in y = lam^2, to order
-    lambda_order // 2.  The check compares their q^m y^j coefficients,
+    transform's kernel.  The left side is one exp of the y-series
+    sum_k w_k E_{2k}(q) y^k, w_k = 2 zeta_ratio(k) / k, whose coefficients
+    are q-series (its y^0 term is the zero q-series).  Both sides are series
+    in y = lam^2, to order lambda_order // 2, nested the other way round:
+    the check compares the q^m y^j coefficients rhs[m][j] and lhs[j][m],
     m-major, and reports the first mismatch at its power 2j of lam.  The
     two sides stay independent: the left side is built from eisenstein and
     zeta_even_ratio, which the right side never calls, and the right side
@@ -501,28 +504,16 @@ def triple_product_check(lambda_order, q_order):
         raise ValueError("orders must be >= 2")
     k_max = lambda_order // 2
 
-    # left side: the exponent sum_k w_k E_{2k}(q) y^k, w_k = 2 zeta_ratio(k) / k,
-    # split at q^0, where every E_{2k} is 1, into x0 = sum_k w_k y^k and the
-    # rest, whose q^m coefficient is the y-series sum_k w_k E_{2k}[m] y^k
-    weights = [2 * zeta_even_ratio(k) / k for k in range(1, k_max + 1)]
-    e_series = [eisenstein(2 * k, q_order) for k in range(1, k_max + 1)]
-    x0 = QSeries([0, *weights], var="y")
-    rest_coeffs = [QSeries.zero(k_max, var="y")]
-    rest_coeffs += [
-        QSeries([0, *[w * e[m] for w, e in zip(weights, e_series)]], var="y")
-        for m in range(1, q_order + 1)
-    ]
-    # exp of the q^0 part times exp of the rest; keep the q-major series on
-    # the left: the y-series factor then scales every q-coefficient instead
-    # of transposing the nesting
-    lhs = QSeries(rest_coeffs, var="q").exp() * x0.exp()
+    weights = (2 * zeta_even_ratio(k) / k for k in range(1, k_max + 1))
+    exponent = [w * eisenstein(2 * k, q_order) for k, w in enumerate(weights, 1)]
+    lhs = QSeries([QSeries.zero(q_order), *exponent], var="y").exp()
 
     rhs = triple_product_rhs(lambda_order, q_order)
 
     first_mismatch = None
     for m, j in product(range(q_order + 1), range(k_max + 1)):
-        if rhs[m][j] != lhs[m][j]:
-            first_mismatch = {"lambda": 2 * j, "q": m, "lhs": lhs[m][j], "rhs": rhs[m][j]}
+        if rhs[m][j] != lhs[j][m]:
+            first_mismatch = {"lambda": 2 * j, "q": m, "lhs": lhs[j][m], "rhs": rhs[m][j]}
             break
     return {
         "ok": first_mismatch is None,

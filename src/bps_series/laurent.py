@@ -7,7 +7,9 @@ integer exponents even for half-integer m.  Zero coefficients are never
 stored, and each coefficient is kept as given, an int or a Fraction.
 
 The module also holds the sparse-term core (coefficient, collect, mul_terms)
-that LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries share.
+that LaurentPoly, anomaly.GradedPoly and gvtransform.LambdaSeries share, and
+the packed-digit codec (pack_width, unpack, digit_sum) through which the
+integer Euler kernel and the sl2 peel read back their Kronecker-packed ints.
 """
 
 from __future__ import annotations
@@ -51,6 +53,42 @@ def mul_terms(a, b):
     return collect(
         (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
     )
+
+
+# -- the packed-digit codec ----------------------------------------------------
+# A finite family of ints d_i is Kronecker-packed as the one int
+# sum_i d_i * 2^(w i): the polynomial sum_i d_i X^i at X = 2^w.  Sums and int
+# multiples of packed ints are the packed sums and multiples, and so is the
+# product by X^k, a shift.  The family reads back exactly while every digit,
+# and for digit_sum every digit sum, lies in (-2^(w-1), 2^(w-1)): the caller
+# proves that with a majorant of the digits' absolute values and passes it
+# to pack_width, so no assert guards the width and python -O runs the same
+# code.  Widths are whole bytes, so that unpack reads digits with to_bytes.
+
+
+def pack_width(bound):
+    """The least multiple of 8, w, with 2^(w-1) > bound."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def unpack(packed, w, count):
+    """{i: d_i} for the nonzero balanced digits d_0 .. d_(count-1) of packed,
+    a packed int of width w: 2^(w-1) added to each digit makes them all
+    nonnegative, and the bytes of the sum are cut into w/8-byte digits."""
+    width = w >> 3
+    half = 1 << (w - 1)
+    zero = half.to_bytes(width, "little")  # a zero digit once half is added
+    data = (packed + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
+    digits = [data[i : i + width] for i in range(0, width * count, width)]
+    return {i: int.from_bytes(d, "little") - half for i, d in enumerate(digits) if d != zero}
+
+
+def digit_sum(packed, w):
+    """The sum of the digits of packed, a packed int of width w: its value at
+    X = 1, read as the balanced residue mod 2^w - 1 (where 2^w = 1)."""
+    modulus = (1 << w) - 1
+    n = packed % modulus
+    return n - modulus if n >= 1 << (w - 1) else n
 
 
 class LaurentPoly:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, pack_width, unpack
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -291,15 +291,11 @@ def euler_int_layers(specs, order, nvars):
     coefficients, so N divides the packed sum and P_N = acc // N exactly; no
     layer is unpacked before the end and no Fraction is ever made.
 
-    The width w must hold every coefficient as a signed digit.  The l1
-    majorant m_N = [q^N] prod_n prod_specs (1 - |c| q^n)^(-|e|), run through
-    the same recurrence over plain ints, bounds every |coefficient| of P_N,
-    so w = 8 * ceil((bits(max m) + 1) / 8) suffices.  That bound is the whole
-    width check: it uses no assert, so python -O runs the same code.  Each
-    layer is unpacked once: 2^(w-1) is added to every digit, the int is
-    written out with to_bytes and cut into w/8-byte digits.  With nvars == 0
-    every key is 0, so each layer is one plain int, with no width and no
-    unpacking.
+    The l1 majorant m_N = [q^N] prod_n prod_specs (1 - |c| q^n)^(-|e|), run
+    through the same recurrence over plain ints, bounds every |coefficient|
+    of P_N, so w = pack_width(max m), and each layer is unpacked once (see
+    the codec in laurent).  With nvars == 0 every key is 0, so each layer is
+    one plain int, with no width and no unpacking.
     """
     require_int(order=order)
     if order < 0:
@@ -315,27 +311,15 @@ def euler_int_layers(specs, order, nvars):
     keys = [(sum(a * base**i for i, a in enumerate(exps)), c, e) for exps, c, e in specs]
     if nvars == 0:
         return [{(): v} if v else {} for v in _packed_layers(keys, order, 0, 0)]
-    top = max(_packed_layers([(0, abs(c), -abs(e)) for _, c, e in specs], order, 0, 0))
-    w = 8 * -(-(top.bit_length() + 1) // 8)
-    width = w // 8
-    half = 1 << (w - 1)
-    zero = half.to_bytes(width, "little")  # a zero digit once half is added
+    w = pack_width(max(_packed_layers([(0, abs(c), -abs(e)) for _, c, e in specs], order, 0, 0)))
     # the exponent tuples of the keys -span..span, in slot order
     span = order * shift
     powers = [base**i for i in range(nvars)]
     tuples = [tuple([j // p % base - order * s for p in powers]) for j in range(2 * span + 1)]
     layers = []
     for big_n, packed in enumerate(_packed_layers(keys, order, w, shift)):
-        slots = 2 * big_n * shift + 1
-        data = (packed + int.from_bytes(zero * slots, "little")).to_bytes(width * slots, "little")
-        digits = [data[i : i + width] for i in range(0, width * slots, width)]
-        layers.append(
-            {
-                key: int.from_bytes(digit, "little") - half
-                for key, digit in zip(tuples[(order - big_n) * shift :], digits)
-                if digit != zero
-            }
-        )
+        lo, slots = (order - big_n) * shift, 2 * big_n * shift + 1
+        layers.append({tuples[lo + i]: d for i, d in unpack(packed, w, slots).items()})
     return layers
 
 

@@ -10,8 +10,8 @@ decompositions work by peeling the top exponent, which is triangular and stays
 in integers.  Each entry point checks and slices its input in one pass over
 int (_slices) and peels the slices without making a Fraction (_peel).  A
 slice is one int: a coefficient of t for one variable, and for two the tR row
-of one power of tL, Kronecker-packed with a width proved by an l1 majorant, so
-one peel serves one and two variables.
+of one power of tL, packed by the codec in laurent with a width proved by an
+l1 majorant, so one peel serves one and two variables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, digit_sum, pack_width, unpack
 from .qseries import require_int
 
 
@@ -42,8 +42,10 @@ class RouteDisagreement(ArithmeticError):
         self.via_u = via_u
 
 
+@lru_cache(maxsize=None, typed=True)
 def spin_char(two_j):
-    """Signed character of the single spin-(two_j/2) irreducible."""
+    """Signed character of the single spin-(two_j/2) irreducible, cached by
+    typed argument as i_basis_char is."""
     require_int(two_j=two_j)
     if two_j < 0:
         raise ValueError("spins must be >= 0")
@@ -86,14 +88,10 @@ def _slices(p, nvars, caller, char_of_level):
     For one variable the slice at e is the coefficient of t^e (w = s = 0).
     For two, the row {x: c} of tR exponents at tL^e is packed into the one
     int sum_x c * 2^(w (x + s)), s the largest |tR exponent|: the row at
-    tR = 2^w, shifted by s.  Adding and scaling the packed ints adds and
-    scales the rows, and a row is read back from its int (_unpack), or at
-    tR = 1 as the balanced residue mod 2^w - 1, while every signed digit
-    and every digit sum stays inside (-2^(w-1), 2^(w-1)).  The l1 majorant
-    proves that: the same peel run on the rows' l1 norms with the absolute
-    coefficients of char_of_level bounds the l1 norm of every row the peel
-    holds, and w is one bit more than its largest value.  That bound is the
-    whole width check, with no assert, so python -O runs the same code.
+    tR = 2^w, shifted by s.  The same peel run on the rows' l1 norms with the
+    absolute coefficients of char_of_level bounds the l1 norm of every row
+    the peel holds, and so every digit and digit sum; w is the pack_width of
+    its largest value.
     """
     if p.nvars != nvars:
         raise ValueError(f"{caller} expects a polynomial in {nvars} variable(s), got {p.nvars}")
@@ -125,7 +123,7 @@ def _slices(p, nvars, caller, char_of_level):
             for (e,), a in char_of_level(top).terms.items():
                 if e != top:
                     bound[e] = bound.get(e, 0) + abs(a) * r
-    w = max(bound.values(), default=0).bit_length() + 1
+    w = pack_width(max(bound.values(), default=0))
     s = max((max(row) for row in rows.values()), default=0)  # rows are symmetric in tR
     return {e: sum(c << w * (x + s) for x, c in row.items()) for e, row in rows.items()}, w, s
 
@@ -133,17 +131,7 @@ def _slices(p, nvars, caller, char_of_level):
 def _unpack(r, w, s):
     """The row {tR exponent: nonzero int} that _slices packed into r with
     width w and shift s."""
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    # half added to each of the 2s + 1 digits makes every digit nonnegative
-    r += half * (((1 << w * (2 * s + 1)) - 1) // mask)
-    row = {}
-    for x in range(-s, s + 1):
-        d = (r & mask) - half
-        if d:
-            row[x] = d
-        r >>= w
-    return row
+    return {i - s: d for i, d in unpack(r, w, 2 * s + 1).items()}
 
 
 def _peel(rest, char_of_level):
@@ -222,20 +210,12 @@ def bps_from_character(p):
     sum_h char(I_h)(tL) * r_h(tR) and take n_h = r_h at tR = 1.
 
     Two independent routes are computed and must agree: (a) peel I_h layers in
-    tL on the packed tR rows, then read each r_h at tR = 1 as the balanced
-    residue of its packed int mod 2^w - 1 (2^w = 1 there); (b) set tR = 1
-    first and expand the result in powers of u = 2 - tL - tL^(-1).
+    tL on the packed tR rows, then read each r_h at tR = 1 as the digit_sum
+    of its packed int; (b) set tR = 1 first and expand the result in powers
+    of u = 2 - tL - tL^(-1).
     """
     slices, w, _ = _slices(p, 2, "bps_from_character", i_basis_char)
-    modulus = (1 << w) - 1
-    half = 1 << (w - 1)
-    via_layers = {}
-    for h, r in _peel(slices, i_basis_char).items():
-        n = r % modulus
-        if n >= half:
-            n -= modulus
-        if n:
-            via_layers[h] = n
+    via_layers = {h: n for h, r in _peel(slices, i_basis_char).items() if (n := digit_sum(r, w))}
 
     via_u = u_expand(p.subs_one(1))
 

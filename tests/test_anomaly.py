@@ -369,7 +369,7 @@ def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
 def test_triple_product_check_is_fast():
     start = time.monotonic()
     assert triple_product_check(20, 20)["ok"]
-    assert time.monotonic() - start < 5.0
+    assert time.monotonic() - start < 0.5
 
 
 def _corrupt_zeta_ratio(monkeypatch):

@@ -105,6 +105,12 @@ def _bps_from_character_of_layer(g):
     return c_calls_made(sl2.bps_from_character, layer)
 
 
+def _bi_decompose_of_layer(g):
+    layer = refined_goettsche_res(g)[g]
+    sl2.spin_char.cache_clear()
+    return c_calls_made(sl2.bi_decompose, layer)
+
+
 def _bps_rational_elliptic(g):
     sl2.i_basis_char.cache_clear()
     return c_calls_made(bps_rational_elliptic, g)
@@ -121,8 +127,11 @@ def _bps_rational_elliptic(g):
         (_bps_from_character_of_layer, 14, 5_000),
         # 16,263; the pair loop and the dict-row peel made 50,737
         (_bps_rational_elliptic, 14, 25_000),
+        # with a cold spin_char cache: 3,242; building every spin character
+        # anew on each call made 7,027
+        (_bi_decompose_of_layer, 16, 4_000),
     ],
-    ids=["refined_goettsche_res", "bps_from_character", "bps_rational_elliptic"],
+    ids=["refined_goettsche_res", "bps_from_character", "bps_rational_elliptic", "bi_decompose"],
 )
 def test_hilbert_pipeline_c_call_counts(count, arg, bound):
     # one dot product per symmetry class of refined coefficients, and one
@@ -131,11 +140,12 @@ def test_hilbert_pipeline_c_call_counts(count, arg, bound):
 
 
 def test_triple_product_check_fraction_count():
-    # with cold caches: 9,803 on CPython 3.10/3.11 and 13,340 on 3.12/3.13;
-    # inverting a cosine series for the prefactor made 10,012 and 13,506,
-    # adding each exponent term into its own series 15,515 and 19,852, and
-    # the term-by-term Fraction product 133,300
-    assert fractions_made(triple_product_check, 20, 20) <= 15_000
+    # with cold caches: 5,844 on CPython 3.10/3.11 and 8,083 on 3.12/3.13;
+    # the exponential side as exp of its q^0 part times exp of the rest made
+    # 9,803 and 13,340, inverting a cosine series for the prefactor 10,012
+    # and 13,506, adding each exponent term into its own series 15,515 and
+    # 19,852, and the term-by-term Fraction product 133,300
+    assert fractions_made(triple_product_check, 20, 20) <= 9_000
 
 
 # rank 2, degree weights (1, 1), genus <= 3, degree <= 8, every slot 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bps_series.anomaly import GradedPoly
 from bps_series.gvtransform import LambdaSeries
-from bps_series.laurent import LaurentPoly
+from bps_series.laurent import LaurentPoly, digit_sum, pack_width, unpack
 
 
 def poly_strategy(nvars):
@@ -89,3 +89,23 @@ def test_constructors_refuse_bools(build, key):
     for bad in (True, False):
         with pytest.raises(ValueError, match=rf"^coefficient at {re.escape(key)}: bool {bad}"):
             build(bad)
+
+
+@pytest.mark.parametrize(
+    "bound, w", [(0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 24), (2**63, 72)]
+)
+def test_pack_width_at_each_byte_edge(bound, w):
+    assert pack_width(bound) == w
+
+
+@pytest.mark.parametrize("w", [8, 16, 64])
+def test_codec_reads_back_the_largest_digits_and_trailing_zeros(w):
+    # every digit and every digit sum is inside (-2^(w-1), 2^(w-1)), as the
+    # callers' majorants prove; the trailing zero digits are counted but absent
+    top = (1 << (w - 1)) - 1
+    for digits in (
+        [top], [-top], [top, 0, 0], [-top, 0, 0, 0], [0, top, -top, top, 0], [-top, top, -top, 0], [0, 0],
+    ):
+        packed = sum(d << w * i for i, d in enumerate(digits))
+        assert unpack(packed, w, len(digits)) == {i: d for i, d in enumerate(digits) if d}
+        assert digit_sum(packed, w) == sum(digits)

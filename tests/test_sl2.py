@@ -55,6 +55,9 @@ def test_i_basis_char_small():
         (lambda: spin_char(-2), "spins must be >= 0"),
         (lambda: spin_char(True), "two_j must be an int, got bool True"),
         (lambda: spin_char(1.0), "two_j must be an int, got float 1.0"),
+        # spin_char's cache is typed too, and caches no refusal
+        (lambda: (spin_char(1), spin_char(True)), "two_j must be an int, got bool True"),
+        (lambda: (spin_char(1), spin_char(-2)), "spins must be >= 0"),
         (lambda: i_basis_char(-1), "I-basis levels must be >= 0"),
         (lambda: i_basis_char(2.0), "h must be an int, got float 2.0"),
         # the cache is typed: True is refused after the equal int 1 is cached
@@ -69,7 +72,8 @@ def test_i_basis_char_small():
         ),
     ],
     ids=[
-        "spin-negative", "spin-bool", "spin-float", "level-negative", "level-float",
+        "spin-negative", "spin-bool", "spin-float", "spin-bool-after-int",
+        "spin-negative-after-int", "level-negative", "level-float",
         "level-bool-after-int", "signed-negative-spin", "signed-bool-spin",
         "signed-float-multiplicity", "signed-bool-multiplicity", "I-basis-fraction-multiplicity",
     ],
