@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .gvtransform import _sin_power_cached
 from .laurent import coefficient, collect, mul_terms
 from .modular import eisenstein, zeta_even_ratio
-from .qseries import QSeries, eta_product, euler_int_layers, require_int
+from .qseries import QSeries, _int_convolution, _scaled, eta_product, euler_int_layers, require_int
 
 
 class WeightMismatch(ValueError):
@@ -419,48 +420,75 @@ def genus_series_n1(g_max, q_order):
 
     with Z_0 = E4 / prod (1-q^k)^12.  Returns [Z_0, ..., Z_{g_max}].
 
-    The exponential is read off its product form, triple_product_rhs at
-    lambda order 2 g_max, whose layers are series in y = lam^2:
-    Z_g = Z_0 * sum_m [q^m y^g] rhs * q^m.  triple_product_check verifies
-    that product against the exponential.
+    The exponential is read off its product form, the integer y-rows of
+    _product_rows (y = lam^2), which triple_product_check verifies: Z_g is the
+    integer Z_0 convolved with row g, one Fraction made per coefficient.
     """
     require_int(g_max=g_max, q_order=q_order)
     if g_max < 0 or q_order < 0:
         raise ValueError(f"need g_max >= 0 and q_order >= 0, got {g_max} and {q_order}")
-    z0 = realize(GradedPoly.e4(), 1, q_order)
-    rhs = triple_product_rhs(2 * g_max, q_order)
-    return [
-        z0 * QSeries([rhs[m][g] for m in range(q_order + 1)])
-        for g in range(g_max + 1)
-    ]
+    dz, z0 = _scaled(realize(GradedPoly.e4(), 1, q_order).coeffs)
+    rows = _product_rows(2 * g_max, q_order)
+    return [QSeries([Fraction(x, dz * d) for x in _int_convolution(z0, r)]) for r, d in rows]
 
 
 def triple_product_rhs(lambda_order, q_order):
-    """The product side of triple_product_check, built in t = e^(i lam) as
-    described there: a q-series (order q_order) of y-series in y = lam^2
-    (order lambda_order // 2), whose y^j coefficient is that of lam^(2j)."""
+    """The product side of triple_product_check as a q-series (order q_order)
+    of y-series in y = lam^2 (order lambda_order // 2), whose y^j coefficient
+    is that of lam^(2j): the rows of _product_rows, one Fraction per entry."""
     require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 0 or q_order < 0:
         raise ValueError(
             f"need lambda_order >= 0 and q_order >= 0, got {lambda_order} and {q_order}"
         )
-    half = lambda_order // 2
-    # lam^2 / (2 - 2 cos lam) = lam^2 (2 sin(lam/2))^(-2): the transform's
-    # h = 0 kernel row, whose lam^(2j-2) coefficient is the y^j one here; every
-    # coefficient is positive, so the row keeps all its half + 1 terms
-    prefactor = QSeries([c for _, c in _sin_power_cached(-2, 2 * half - 2)], var="y")
+    nums, dens = zip(*_product_rows(lambda_order, q_order))
+    return QSeries([QSeries(list(map(Fraction, col, dens)), var="y") for col in zip(*nums)])
 
-    layers = euler_int_layers(
-        [((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1
-    )
-    rhs_coeffs = []
-    for layer in layers:
-        moments = [sum(c * k ** (2 * j) for (k,), c in layer.items()) for j in range(half + 1)]
-        at_t = QSeries(
-            [Fraction((-1) ** j * mo, factorial(2 * j)) for j, mo in enumerate(moments)], var="y"
-        )
-        rhs_coeffs.append(at_t * prefactor)
-    return QSeries(rhs_coeffs, var="q")
+
+def _product_rows(lambda_order, q_order):
+    """[(r_j, d_j) for j <= lambda_order // 2]: the product side's q^m y^j
+    coefficient is r_j[m] / d_j, with d_j = D (2j)! and r_j the sum over i <= j
+    of (-1)^i (2j)!/(2i)! P_{j-i} M_i, for the prefactor's y^j coefficient
+    P_j / D and the moments M_i[m] = sum_k c_{m,k} k^(2i) (triple_product_check)."""
+    half = lambda_order // 2
+    # lam^2 / (2 - 2 cos lam) = lam^2 (2 sin(lam/2))^(-2): the transform's h = 0 row, its
+    # lam^(2j-2) coefficient the y^j one here, all positive, so all half + 1 are kept
+    d_p, p = _scaled([c for _, c in _sin_power_cached(-2, 2 * half - 2)])
+    moments = []  # moments[m] = [M_0[m], ..., M_half[m]], by running powers of k^2
+    for layer in euler_int_layers([((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1):
+        squares, terms = [k * k for (k,) in layer], list(layer.values())
+        moments.append([sum(terms)])
+        for _ in range(half):
+            terms = list(map(mul, terms, squares))
+            moments[-1].append(sum(terms))
+    rows = []
+    for j in range(half + 1):
+        top = factorial(2 * j)
+        weights = [(-1) ** i * (top // factorial(2 * i)) * p[j - i] for i in range(j + 1)]
+        rows.append(([sum(map(mul, weights, mo)) for mo in moments], d_p * top))
+    return rows
+
+
+def _exponential_rows(lambda_order, q_order):
+    """[(l_n, e_n) for n <= lambda_order // 2]: the exponential side's q^m y^n
+    coefficient is l_n[m] / e_n.  With A_k = w_k E_{2k} the exponent's y^k
+    term, L_0 = 1 and n L_n = sum_{k<=n} k A_k L_{n-k}, over one denominator
+    reduced by the gcd of its content."""
+    scaled = []  # k A_k = 2 zeta_ratio(k) E_{2k} for k >= 1, over int
+    for k in range(1, lambda_order // 2 + 1):
+        z = zeta_even_ratio(k)
+        d, e = _scaled(eisenstein(2 * k, q_order).coeffs)
+        scaled.append(([2 * z.numerator * x for x in e], z.denominator * d))
+    rows = [([1] + [0] * q_order, 1)]
+    for n in range(1, len(scaled) + 1):
+        pairs = list(zip(scaled, reversed(rows)))  # (k A_k, L_{n-k}) for k = 1..n
+        common = lcm(*[d * e for (_, d), (_, e) in pairs])
+        weights = [common // (d * e) for (_, d), (_, e) in pairs]
+        convolved = [_int_convolution(a, b) for (a, _), (b, _) in pairs]
+        acc = [sum(map(mul, weights, col)) for col in zip(*convolved)]
+        g = gcd(n * common, *acc)
+        rows.append(([x // g for x in acc], n * common // g))
+    return rows
 
 
 def triple_product_check(lambda_order, q_order):
@@ -469,51 +497,36 @@ def triple_product_check(lambda_order, q_order):
         exp(2 sum_k zeta_ratio(k) E_{2k}(q) lam^(2k) / k)
             = (lam^2 / (2 - 2 cos lam)) prod_n (1-q^n)^4 / (1 - 2 cos(lam) q^n + q^(2n))^2
 
-    as an identity in Q[[lam^2, q]], with the prefactor expanded as
-    (2 sin(lam/2))^(-2).  Returns {"ok", "first_mismatch", ...}.
+    as an identity in Q[[lam^2, q]].  Returns {"ok", "first_mismatch", ...}.
 
-    The right side (triple_product_rhs) is built over Z in t = e^(i lam):
-    there 1 - 2 cos(lam) q^n + q^(2n) = (1 - t q^n)(1 - t^-1 q^n), so
-
-        P(t, q) = prod_n (1-q^n)^4 / ((1 - t q^n)(1 - t^-1 q^n))^2
-
-    is one call of the integer Euler kernel.  P is symmetric under
-    t <-> t^-1, so with c_{m,k} its q^m t^k coefficient, the q^m lam^(2j)
-    coefficient of P at t = e^(i lam) is the integer moment
-
-        (-1)^j / (2j)! * sum_k c_{m,k} k^(2j),
-
-    odd powers of lam vanish, and each q^m layer is then multiplied by the
-    prefactor: lam^2 times the h = 0 row (2 sin(lam/2))^(-2) of the BPS/GW
-    transform's kernel.  The left side is one exp of the y-series
-    sum_k w_k E_{2k}(q) y^k, w_k = 2 zeta_ratio(k) / k, whose coefficients
-    are q-series (its y^0 term is the zero q-series).  Both sides are series
-    in y = lam^2, to order lambda_order // 2, nested the other way round:
-    the check compares the q^m y^j coefficients rhs[m][j] and lhs[j][m],
-    m-major, and reports the first mismatch at its power 2j of lam.  The
-    two sides stay independent: the left side is built from eisenstein and
-    zeta_even_ratio, which the right side never calls, and the right side
-    from the Euler kernel and the sin-power kernel, which the left side
-    never calls, so a fault in either shows up as a mismatch.  At q^0 the
-    product is the prefactor alone, so every call also checks the
-    transform's h = 0 kernel row against the Bernoulli numbers behind
-    zeta_even_ratio.
+    The right side (_product_rows) is built over Z in t = e^(i lam), where
+    1 - 2 cos(lam) q^n + q^(2n) = (1 - t q^n)(1 - t^-1 q^n), so that
+    P(t, q) = prod_n (1-q^n)^4 / ((1 - t q^n)(1 - t^-1 q^n))^2 is one call of
+    the integer Euler kernel.  P is symmetric under t <-> t^-1, so with
+    c_{m,k} its q^m t^k coefficient, P at t = e^(i lam) has no odd powers of
+    lam and its q^m lam^(2j) coefficient is (-1)^j/(2j)! sum_k c_{m,k} k^(2j).
+    The prefactor is lam^2 times the h = 0 row (2 sin(lam/2))^(-2) of the
+    BPS/GW transform's kernel.  The left side (_exponential_rows) is the exp
+    of sum_k w_k E_{2k}(q) y^k, w_k = 2 zeta_ratio(k) / k.  Both sides are
+    y-rows in y = lam^2 to order lambda_order // 2, one integer q-series over
+    one denominator per y^j, compared by cross-multiplication, m-major;
+    Fractions are made only for the first mismatch, reported at its power 2j
+    of lam.  The left side comes from eisenstein and zeta_even_ratio, the
+    right one from the Euler and sin-power kernels, and neither calls the
+    other's, so a fault in either shows up as a mismatch.  At q^0 the product
+    is the prefactor alone, so every call also checks the transform's h = 0
+    kernel row against the Bernoulli numbers behind zeta_even_ratio.
     """
     require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 2 or q_order < 2:
         raise ValueError("orders must be >= 2")
-    k_max = lambda_order // 2
-
-    weights = (2 * zeta_even_ratio(k) / k for k in range(1, k_max + 1))
-    exponent = [w * eisenstein(2 * k, q_order) for k, w in enumerate(weights, 1)]
-    lhs = QSeries([QSeries.zero(q_order), *exponent], var="y").exp()
-
-    rhs = triple_product_rhs(lambda_order, q_order)
-
+    lhs, rhs = _exponential_rows(lambda_order, q_order), _product_rows(lambda_order, q_order)
     first_mismatch = None
-    for m, j in product(range(q_order + 1), range(k_max + 1)):
-        if rhs[m][j] != lhs[j][m]:
-            first_mismatch = {"lambda": 2 * j, "q": m, "lhs": lhs[j][m], "rhs": rhs[m][j]}
+    for m, j in product(range(q_order + 1), range(len(lhs))):
+        (l, dl), (r, dr) = lhs[j], rhs[j]
+        if l[m] * dr != r[m] * dl:
+            lhs_m, rhs_m = Fraction(l[m], dl), Fraction(r[m], dr)
+            first_mismatch = {"lambda": 2 * j, "q": m, "lhs": lhs_m, "rhs": rhs_m}
             break
     return {
         "ok": first_mismatch is None,

@@ -10,7 +10,8 @@ needs a nonzero int or Fraction constant term, whatever the ring.
 Truncation is explicit: binary operations truncate to the minimum of the two
 operand orders and never extend a series silently.  The product of two
 series whose coefficients are all int or Fraction is one integer
-convolution (_rational_product); every other ring multiplies term by term.
+convolution (_rational_product: _scaled, then _int_convolution, both reused
+by the resummation in anomaly); every other ring multiplies term by term.
 """
 
 from __future__ import annotations
@@ -179,12 +180,12 @@ class QSeries:
         a = self.coeffs
         if bool(a[0]):
             raise BadConstantTerm("exp needs constant term 0")
-        one = self._ring_zero() + 1
-        out = [one]
+        scaled = a[:1] + [j * a[j] for j in range(1, self.order + 1)]  # j * a_j; a_0 = 0
+        out = [self._ring_zero() + 1]
         for n in range(1, self.order + 1):
             acc = self._ring_zero()
             for j in range(1, n + 1):
-                acc = acc + (j * a[j]) * out[n - j]
+                acc = acc + scaled[j] * out[n - j]
             out.append(Fraction(1, n) * acc)
         return QSeries(out, self.order, self.var)
 
@@ -193,12 +194,13 @@ class QSeries:
         a = self.coeffs
         if not a[0] == 1:
             raise BadConstantTerm("log needs constant term 1")
-        out = [self._ring_zero()]
+        out, scaled = [self._ring_zero()], [self._ring_zero()]  # scaled[j] = j * out_j
         for n in range(1, self.order + 1):
             acc = n * a[n]
             for j in range(1, n):
-                acc = acc - (j * out[j]) * a[n - j]
+                acc = acc - scaled[j] * a[n - j]
             out.append(Fraction(1, n) * acc)
+            scaled.append(n * out[n])
         return QSeries(out, self.order, self.var)
 
 
@@ -211,20 +213,29 @@ def _rational_product(a, b, int_only):
     """The coefficients of sum_i a_i q^i * sum_j b_j q^j through q^(len(a)-1),
     for two equally long lists of ints and Fractions.
 
-    Each side is scaled to integers by the lcm of its denominators (da, db),
-    the integers are convolved, and each output coefficient is made once as
-    Fraction(acc, da * db), or left an int when both sides are all int.
+    _scaled puts each side over the lcm of its denominators (da, db),
+    _int_convolution convolves the integers, and each output coefficient is
+    made once as Fraction(acc, da * db), or left an int when both are all int.
     """
-    da = lcm(*[x.denominator for x in a])
-    db = lcm(*[x.denominator for x in b])
-    ia = [x.numerator * (da // x.denominator) for x in a]
-    rb = [x.numerator * (db // x.denominator) for x in reversed(b)]
-    n = len(a) - 1
-    sums = [sum(map(mul, ia[: i + 1], rb[n - i :])) for i in range(n + 1)]
+    (da, ia), (db, ib) = _scaled(a), _scaled(b)
+    sums = _int_convolution(ia, ib)
     if int_only:
         return sums
     d = da * db
     return [Fraction(acc, d) for acc in sums]
+
+
+def _scaled(a):
+    """(d, [x * d for x in a]) for ints and Fractions a, d the lcm of their denominators."""
+    d = lcm(*[x.denominator for x in a])
+    return d, [x.numerator * (d // x.denominator) for x in a]
+
+
+def _int_convolution(a, b):
+    """sum_i a_i q^i * sum_j b_j q^j through q^(len(a)-1), for ints, len(b) >= len(a)."""
+    n = len(a) - 1
+    rb = b[n::-1]
+    return [sum(map(mul, a[: i + 1], rb[n - i :])) for i in range(n + 1)]
 
 
 def require_int(**named):

@@ -4,6 +4,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from math import gcd
 
 import oracles
 import pytest
@@ -353,7 +354,7 @@ def test_resummation_refuses_bad_orders(func, args, message):
 
 
 @pytest.mark.parametrize(
-    "lambda_order, q_order", [(8, 6), (10, 8), (12, 4), (7, 5), (9, 4)]
+    "lambda_order, q_order", [(8, 6), (10, 8), (12, 4), (7, 5), (9, 4), (0, 2), (2, 2), (7, 2)]
 )
 def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
     expect = oracles.triple_product_rhs(lambda_order, q_order)
@@ -364,6 +365,32 @@ def test_triple_product_rhs_matches_generic_construction(lambda_order, q_order):
         for j in range(lambda_order // 2 + 1):
             assert got[m][j] == expect[m][2 * j], (m, j)
         assert not any(expect[m][1::2]), m
+
+
+@pytest.mark.parametrize("lambda_order, q_order", [(0, 2), (2, 2), (7, 2), (9, 5), (12, 6)])
+def test_exponential_rows_match_one_exp(lambda_order, q_order):
+    # the exponential side as one QSeries.exp of the y-series of w_k E_{2k}
+    half = lambda_order // 2
+    exponent = [(2 * zeta_even_ratio(k) / k) * eisenstein(2 * k, q_order) for k in range(1, half + 1)]
+    expect = QSeries([QSeries.zero(q_order), *exponent], var="y").exp()
+    rows = anomaly._exponential_rows(lambda_order, q_order)
+    assert len(rows) == half + 1
+    for j, (nums, den) in enumerate(rows):
+        assert [Fraction(x, den) for x in nums] == expect[j].coeffs, j
+        assert gcd(den, *nums) == 1, j  # each row reduced by its content
+
+
+def test_resummation_sides_stay_independent(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("one side of the resummation called the other's kernels")
+
+    for name in ("euler_int_layers", "_sin_power_cached"):
+        monkeypatch.setattr(anomaly, name, refuse)
+    anomaly._exponential_rows(8, 4)
+    monkeypatch.undo()
+    for name in ("eisenstein", "zeta_even_ratio"):
+        monkeypatch.setattr(anomaly, name, refuse)
+    anomaly._product_rows(8, 4)
 
 
 def test_triple_product_check_is_fast():

@@ -279,14 +279,15 @@ def test_roundtrip_difference_payload(tmp_path, monkeypatch, capsys):
 
 
 def test_triple_product_mismatch_payload(tmp_path, monkeypatch, capsys):
-    real_rhs = anomaly.triple_product_rhs
+    real_rows = anomaly._product_rows
 
     def shifted(lambda_order, q_order):  # the q^1 lam^2 = y^1 coefficient, plus one
-        rhs = real_rhs(lambda_order, q_order)
-        rhs.coeffs[1].coeffs[1] += 1
-        return rhs
+        rows = real_rows(lambda_order, q_order)
+        nums, den = rows[1]
+        nums[1] += den
+        return rows
 
-    monkeypatch.setattr(anomaly, "triple_product_rhs", shifted)
+    monkeypatch.setattr(anomaly, "_product_rows", shifted)
     code, text = run(tmp_path, "triple-product-check", "--lambda-order", "4", "--q-order", "2")
     assert code == 1
     assert json.loads(text) == {

@@ -15,8 +15,8 @@ from operator import add, mul
 import pytest
 from costs import c_calls_made, counting_fractions, fractions_made
 
-from bps_series.anomaly import triple_product_check
-from bps_series import gvtransform, sl2
+from bps_series.anomaly import genus_series_n1, triple_product_check
+from bps_series import gvtransform, modular, sl2
 from bps_series.goettsche import (
     BettiVector,
     bps_rational_elliptic,
@@ -30,7 +30,8 @@ from bps_series.gvtransform import (
     iter_classes,
     roundtrip_check,
 )
-from bps_series.qseries import eta_product, euler_int_layers
+from bps_series.modular import eisenstein, zeta_even_ratio
+from bps_series.qseries import QSeries, eta_product, euler_int_layers
 
 
 def test_counter_sees_every_maker_and_restores_it():
@@ -139,13 +140,37 @@ def test_hilbert_pipeline_c_call_counts(count, arg, bound):
     assert count(arg) <= bound
 
 
+def _empty_resummation_caches():
+    # emptied caches give the count of a fresh process, not a lower one
+    gvtransform._sin_power_cached.cache_clear()
+    del modular._bernoulli_cache[1:]
+
+
 def test_triple_product_check_fraction_count():
-    # with cold caches: 5,844 on CPython 3.10/3.11 and 8,083 on 3.12/3.13;
-    # the exponential side as exp of its q^0 part times exp of the rest made
-    # 9,803 and 13,340, inverting a cosine series for the prefactor 10,012
-    # and 13,506, adding each exponent term into its own series 15,515 and
-    # 19,852, and the term-by-term Fraction product 133,300
-    assert fractions_made(triple_product_check, 20, 20) <= 9_000
+    _empty_resummation_caches()
+    # with cold caches: 937 on CPython 3.10/3.11 and 1,472 on 3.12/3.13;
+    # both sides as Fraction series, the exponential one from one exp, made
+    # 5,844 and 8,083, the exponential side as exp of its q^0 part times exp
+    # of the rest 9,803 and 13,340, inverting a cosine series for the
+    # prefactor 10,012 and 13,506, adding each exponent term into its own
+    # series 15,515 and 19,852, and the term-by-term Fraction product 133,300
+    assert fractions_made(triple_product_check, 20, 20) <= 2_000
+
+
+def test_genus_series_fraction_count():
+    # with cold caches: 657 on CPython 3.10/3.11 and 841 on 3.12/3.13; the
+    # product side as a Fraction series times Z_0 made 1,185 and 1,435
+    _empty_resummation_caches()
+    assert fractions_made(genus_series_n1, 10, 20) <= 1_000
+
+
+def test_nested_exp_fraction_count():
+    # the exponential of the triple product's y-series at (20, 20): 3,136 on
+    # CPython 3.10/3.11 and 3,742 on 3.12/3.13; scaling j * a_j once per
+    # pair (n, j) instead of once per j made 4,126 and 5,722
+    exponent = [(2 * zeta_even_ratio(k) / k) * eisenstein(2 * k, 20) for k in range(1, 11)]
+    series = QSeries([QSeries.zero(20), *exponent], var="y")
+    assert fractions_made(series.exp) <= 3_900
 
 
 # rank 2, degree weights (1, 1), genus <= 3, degree <= 8, every slot 1
