@@ -449,11 +449,12 @@ def _product_rows(lambda_order, q_order):
     """[(r_j, d_j) for j <= lambda_order // 2]: the product side's q^m y^j
     coefficient is r_j[m] / d_j, with d_j = D (2j)! and r_j the sum over i <= j
     of (-1)^i (2j)!/(2i)! P_{j-i} M_i, for the prefactor's y^j coefficient
-    P_j / D and the moments M_i[m] = sum_k c_{m,k} k^(2i) (triple_product_check)."""
+    P_j / D and the moments M_i[m] = sum_k c_{m,k} k^(2i) (triple_product_check);
+    (D, P) is the integer h = 0 kernel row of _sin_power_cached."""
     half = lambda_order // 2
-    # lam^2 / (2 - 2 cos lam) = lam^2 (2 sin(lam/2))^(-2): the transform's h = 0 row, its
-    # lam^(2j-2) coefficient the y^j one here, all positive, so all half + 1 are kept
-    d_p, p = _scaled([c for _, c in _sin_power_cached(-2, 2 * half - 2)])
+    # lam^2 / (2 - 2 cos lam) = lam^2 (2 sin(lam/2))^(-2): the transform's h = 0 row
+    # (D, V) over int, its lam^(2j-2) coefficient V[j] / D the y^j one here
+    d_p, p = _sin_power_cached(-2, 2 * half - 2)
     moments = []  # moments[m] = [M_0[m], ..., M_half[m]], by running powers of k^2
     for layer in euler_int_layers([((0,), 1, 4), ((1,), 1, -2), ((-1,), 1, -2)], q_order, 1):
         squares, terms = [k * k for (k,) in layer], list(layer.values())

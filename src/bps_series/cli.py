@@ -107,8 +107,17 @@ def cmd_bps_rational_elliptic(args):
     return "\n".join(lines) + "\n"
 
 
+def _load_table(args, kind):
+    """The table of --in; one of another kind is an input fault at its kind."""
+    table = serialize.table_from_json(_load_json(args.infile))
+    if table.kind != kind:
+        wanted = f"{args.command} needs a {kind!r} table"
+        raise serialize.SchemaError(f"kind: {wanted}, got {table.kind!r}")
+    return table
+
+
 def cmd_gv_from_gw(args):
-    gw = serialize.table_from_json(_load_json(args.infile))
+    gw = _load_table(args, gvtransform.GW)
     lambda_order = args.lambda_order
     if lambda_order is None:
         lambda_order = 2 * gw.max_genus - 2
@@ -116,12 +125,12 @@ def cmd_gv_from_gw(args):
 
 
 def cmd_gw_from_gv(args):
-    bps = serialize.table_from_json(_load_json(args.infile))
+    bps = _load_table(args, gvtransform.BPS)
     return serialize.table_text(gvtransform.gw_from_gv(bps, args.lambda_order, args.degree))
 
 
 def cmd_roundtrip_check(args):
-    bps = serialize.table_from_json(_load_json(args.infile))
+    bps = _load_table(args, gvtransform.BPS)
     ok, diffs = gvtransform.roundtrip_check(bps, args.lambda_order, args.degree)
     payload = {
         "ok": ok,

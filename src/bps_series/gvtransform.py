@@ -87,50 +87,57 @@ class LambdaSeries:
 
 @lru_cache(maxsize=None)
 def _sin_power_cached(exponent, lambda_order):
+    """(D, V) over int, gcd(D, *V) == 1: V[m] / D is the x^(exponent + 2m)
+    coefficient of (2 sin(x/2))^exponent for exponent + 2m <= lambda_order
+    (V is empty when exponent > lambda_order)."""
     # 2 sin(x/2) = x * u(x^2) with u(y) = sum_j (-1)^j y^j / (4^j (2j+1)!),
     # u(0) = 1, so with v = u^exponent
     #     (2 sin(x/2))^exponent = sum_m v_m x^(exponent + 2m).
     # v comes from the power recurrence (Knuth, TAOCP vol. 2, 4.7)
-    #     v_0 = 1,  m v_m = sum_{j=1}^{m} ((exponent+1) j - m) u_j v_{m-j}.
+    #     v_0 = 1,  m v_m = sum_{j=1}^{m} ((exponent+1) j - m) u_j v_{m-j},
+    # over int: u_j = u[j] / top and v_i = w[i] / d, one running denominator.
     m_max = (lambda_order - exponent) // 2
-    u = [Fraction((-1) ** j, 4**j * factorial(2 * j + 1)) for j in range(m_max + 1)]
-    v = [Fraction(1)]
+    if m_max < 0:
+        return 1, ()
+    top = 4**m_max * factorial(2 * m_max + 1)
+    u = [(-1) ** j * top // (4**j * factorial(2 * j + 1)) for j in range(m_max + 1)]
+    d, w = 1, [1]
     for m in range(1, m_max + 1):
-        acc = sum(((exponent + 1) * j - m) * u[j] * v[m - j] for j in range(1, m + 1))
-        v.append(acc / m)
-    # keeps no term when exponent > lambda_order (v is then [1])
-    return tuple(
-        (exponent + 2 * m, c) for m, c in enumerate(v) if c and exponent + 2 * m <= lambda_order
-    )
+        s = sum(((exponent + 1) * j - m) * u[j] * w[m - j] for j in range(1, m + 1))
+        scale = m * top // gcd(s, m * top)  # v_m = s / (m top d)
+        d, w = d * scale, [x * scale for x in w] + [s * scale // (m * top)]
+    common = gcd(d, *w)
+    return d // common, tuple(x // common for x in w)
 
 
 def sin_power_series(k, exponent, lambda_order):
     """Exact lambda-expansion of (2 sin(k lam/2))^exponent up to lam^lambda_order.
 
     exponent = 2h - 2 is even; for h = 0 the series starts at lam^(-2), and
-    the series is empty when exponent > lambda_order.  The Fraction
-    coefficients of (2 sin(x/2))^exponent come from one power recurrence,
-    cached per (exponent, lambda_order); with x = k lam the lam^n coefficient
-    is k^n times that of x^n.
+    the series is empty when exponent > lambda_order.  The coefficients of
+    (2 sin(x/2))^exponent come from the integer kernel _sin_power_cached; with
+    x = k lam the lam^n coefficient is k^n times that of x^n.
     """
     require_int(k=k, exponent=exponent, lambda_order=lambda_order)
     if k < 1:
         raise ValueError("k must be >= 1")
     if exponent % 2 or exponent < -2:
         raise ValueError("exponent must be even and >= -2")
+    d, v = _sin_power_cached(exponent, lambda_order)
     out = LambdaSeries(order=lambda_order)
-    out.coeffs = {n: Fraction(k) ** n * c for n, c in _sin_power_cached(exponent, lambda_order)}
+    # n = exponent + 2m >= -2, so k^n c / d = k^(n+2) c / (k^2 d)
+    terms = ((exponent + 2 * m, c) for m, c in enumerate(v) if c)
+    out.coeffs = {n: Fraction(c * k ** (n + 2), d * k * k) for n, c in terms}
     return out
 
 
 def _kernel_rows(h_top, lambda_order):
-    """rows[h][g] = the lam^(2g-2) coefficient of the k = 1 kernel
-    (2 sin(lam/2))^(2h-2), for h, g = 0..h_top; row h starts at g = h with 1."""
-    rows = []
-    for h in range(h_top + 1):
-        series = sin_power_series(1, 2 * h - 2, lambda_order)
-        rows.append([series[2 * g - 2] for g in range(h_top + 1)])
-    return rows
+    """rows[h] = (D_h, [a_0, ..., a_{h_top}]) over int for h = 0..h_top, from
+    _sin_power_cached: c_{h,g} = a_g / D_h is the lam^(2g-2) coefficient of
+    the k = 1 kernel (2 sin(lam/2))^(2h-2); row h starts at g = h with D_h."""
+    width = h_top + 1
+    kernels = [_sin_power_cached(2 * h - 2, lambda_order) for h in range(width)]
+    return [(d, ([0] * h + list(v) + [0] * width)[:width]) for h, (d, v) in enumerate(kernels)]
 
 
 def _check_windows(lambda_order, degree_order):
@@ -143,9 +150,11 @@ def _check_windows(lambda_order, degree_order):
 class InvariantTable:
     """Map (genus-or-h, curve class) -> value, with truncation metadata.
 
-    kind "gw": values are Fractions; entries outside the window are unknown.
-    kind "bps": values are integers; entries outside the window are zero
-    (the window is a support bound).
+    kind "gw": entries hold each value as its reduced int pair (num, den),
+    den >= 1, so equal values are equal pairs, and get returns a Fraction;
+    entries outside the window are unknown.
+    kind "bps": entries hold ints; entries outside the window are zero (the
+    window is a support bound).
 
     Input must be exact: rank, degree weights, windows, genera and class
     components of type int, values of type int or Fraction (integral ones
@@ -192,14 +201,11 @@ class InvariantTable:
         if type(value) not in (int, Fraction):
             what = f"{type(value).__name__} {value!r}"
             raise ValueError(f"({g}, {cls}): {what} not allowed; use an int or a Fraction")
-        if self.kind == BPS:
-            if value.denominator != 1:
-                raise NonIntegralBPS(cls, g, value)
-            value = int(value)
-        elif type(value) is int:
-            value = Fraction(value)
-        if value:
-            self.entries[(g, cls)] = value
+        n, d = value.numerator, value.denominator
+        if self.kind == BPS and d != 1:
+            raise NonIntegralBPS(cls, g, value)
+        if n:
+            self.entries[(g, cls)] = n if self.kind == BPS else (n, d)
         else:
             self.entries.pop((g, cls), None)
 
@@ -208,11 +214,11 @@ class InvariantTable:
         window: zero for BPS tables (support bound), InsufficientTruncation
         for GW tables (unknown)."""
         cls = self._check_class(cls)
-        zero = 0 if self.kind == BPS else Fraction(0)
-        if g <= self.max_genus and self.degree(cls) <= self.max_degree:
-            return self.entries.get((g, cls), zero)
+        inside = g <= self.max_genus and self.degree(cls) <= self.max_degree
         if self.kind == BPS:
-            return zero
+            return self.entries.get((g, cls), 0) if inside else 0
+        if inside:
+            return Fraction(*self.entries.get((g, cls), (0, 1)))
         raise InsufficientTruncation(
             f"N_{g}{cls} is outside the computed window "
             f"(max_genus={self.max_genus}, max_degree={self.max_degree})"
@@ -260,11 +266,13 @@ def iter_classes(rank, degree_weights, max_degree):
 def _genus_denominators(rows, max_k):
     """(E_g for each genus g): one common denominator per genus that makes
     every E_g c_{h,g} an int and every k-th multicover of it exact for
-    k <= max_k.  E_g = D_g L^3 at g = 0, D_g L at g = 1 and D_g at g >= 2,
-    with D_g the lcm of the c_{h,g} denominators and L = lcm(1..max_k): the
-    multicover scale k^(2g-3) divides by k^3 at g = 0 and by k at g = 1."""
+    k <= max_k, for the integer rows of _kernel_rows.  E_g = D_g L^3 at
+    g = 0, D_g L at g = 1 and D_g at g >= 2, with D_g the lcm of the reduced
+    c_{h,g} denominators and L = lcm(1..max_k): the multicover scale
+    k^(2g-3) divides by k^3 at g = 0 and by k at g = 1."""
     big_l = lcm(*range(1, max_k + 1))
-    out = [lcm(*(c.denominator for c in column)) for column in zip(*rows)]
+    reduced = [[d // gcd(d, a) for a in row] for d, row in rows]
+    out = [lcm(*column) for column in zip(*reduced)]
     out[0] *= big_l**3
     if len(out) > 1:
         out[1] *= big_l
@@ -294,8 +302,8 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
 
     The sums run over int: genus g is carried as E_g N_g with the common
     denominator E_g of _genus_denominators, so the k-th multicover divides
-    exactly by k^3 at g = 0 and by k at g = 1, and each entry becomes a
-    Fraction once, at the end.
+    exactly by k^3 at g = 0 and by k at g = 1, and each entry becomes its
+    reduced int pair at the end, through one gcd.
     """
     if degree_order is None:
         degree_order = bps.max_degree
@@ -309,7 +317,7 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
     max_genus = (lambda_order + 2) // 2
     rows = _kernel_rows(max_genus, lambda_order)
     denominators = _genus_denominators(rows, degree_order // min(bps.degree_weights))
-    rows = [[int(e * c) for e, c in zip(denominators, row)] for row in rows]
+    rows = [[e * a // d for e, a in zip(denominators, row)] for d, row in rows]
     vectors = {}  # class -> E_g s_g(beta)
     for (h, beta), n in bps.entries.items():
         # rows of h > max_genus are empty inside the lambda window
@@ -321,14 +329,15 @@ def gw_from_gv(bps, lambda_order, degree_order=None):
     for beta, s in vectors.items():
         for k in range(1, degree_order // bps.degree(beta) + 1):
             _add_multicover(acc.setdefault(tuple(k * c for c in beta), [0] * (max_genus + 1)), s, k)
-    # every (g, k beta) lies in the window: write the entries unchecked
+    # every (g, k beta) lies in the window: write the entries unchecked, in
+    # (genus, class) order
     gw = InvariantTable(GW, bps.rank, bps.degree_weights, max_genus, degree_order)
-    gw.entries = {
-        (g, beta): Fraction(c, e)
-        for beta, t in acc.items()
-        for g, (c, e) in enumerate(zip(t, denominators))
-        if c
-    }
+    by_class = sorted(acc.items())
+    for g, e in enumerate(denominators):
+        for beta, t in by_class:
+            if t[g]:
+                common = gcd(t[g], e)
+                gw.entries[(g, beta)] = (t[g] // common, e // common)
     return gw
 
 
@@ -361,15 +370,15 @@ def gv_from_gw(gw, lambda_order, degree_order=None):
         )
     rows = _kernel_rows(h_max, lambda_order)
     scales = _genus_denominators(rows, degree_order // min(gw.degree_weights))
-    entries = [(g, beta, v) for (g, beta), v in gw.entries.items() if g <= h_max]
+    entries = [(g, beta, num, den) for (g, beta), (num, den) in gw.entries.items() if g <= h_max]
     denominators = [set() for _ in scales]
-    for g, _, v in entries:
-        denominators[g].add(v.denominator)
+    for g, _, _, den in entries:
+        denominators[g].add(den)
     scales = [lcm(f, *ds) for f, ds in zip(scales, denominators)]
-    rows = [[int(f * c) for f, c in zip(scales, row)] for row in rows]
+    rows = [[f * a // d for f, a in zip(scales, row)] for d, row in rows]
     vectors = {}  # class -> F_g N_g
-    for g, beta, v in entries:
-        vectors.setdefault(beta, [0] * (h_max + 1))[g] = v.numerator * (scales[g] // v.denominator)
+    for g, beta, num, den in entries:
+        vectors.setdefault(beta, [0] * (h_max + 1))[g] = num * (scales[g] // den)
     bps = InvariantTable(BPS, gw.rank, gw.degree_weights, h_max, degree_order)
     solved = {}  # class -> -F_g r_g before peeling, so adding a multicover subtracts it
     # the window check above covers every (g, beta) written below

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import mul
 
 from .anomaly import GradedPoly, ZFunction
@@ -28,7 +29,7 @@ class SchemaError(ValueError):
     """A JSON input does not follow its schema; the message names the path."""
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 _JSON_TYPES = {
     bool: "bool", int: "int", float: "float", str: "string", list: "array", dict: "object"
 }
@@ -147,10 +148,20 @@ def series_to_tsv(s):
     )
 
 
+def _table_values(t):
+    """The keys of the table t in (genus, class) order, and the "p/q" text of
+    each value: str(n) for a bps int, and for a gw pair (p, q) "p/q", or "p"
+    when q = 1, the bytes of str(Fraction(p, q))."""
+    keys = sorted(t.entries)
+    values = map(t.entries.__getitem__, keys)
+    if t.kind == BPS:
+        return keys, list(map(str, values))
+    return keys, [f"{p}/{q}" if q != 1 else str(p) for p, q in values]
+
+
 def table_to_json(t):
     entries = [
-        {"genus": g, "class": list(cls), "value": frac_str(t.entries[(g, cls)])}
-        for g, cls in sorted(t.entries)
+        {"genus": g, "class": list(cls), "value": v} for (g, cls), v in zip(*_table_values(t))
     ]
     return {
         "rank": t.rank,
@@ -173,22 +184,24 @@ _TABLE = """{
   "entries": %s
 }
 """
-_TABLE_ENTRY = """    {
-      "genus": %d,
-      "class": [
-        %s
-      ],
-      "value": "%s"
-    }"""
+# a table_text entry: _ENTRY_GENUS % g, _ENTRY_CLASS % components, value, _ENTRY_TAIL
+_ENTRY_GENUS = '    {\n      "genus": %d,\n      "class": [\n        '
+_ENTRY_CLASS = '%s\n      ],\n      "value": "'
+_ENTRY_TAIL = '"\n    }'
 
 
 def table_text(t):
     """json.dumps(table_to_json(t), indent=2) + "\n", byte for byte, from one
-    per-entry template; a value is written as str(v), its "p/q" string."""
-    entries = ",\n".join(
-        _TABLE_ENTRY % (g, ",\n        ".join(map(str, cls)), t.entries[g, cls])
-        for g, cls in sorted(t.entries)
-    )
+    per-entry template; the text of each genus and of each class is made
+    once per table."""
+    genera = [_ENTRY_GENUS % g for g in range(t.max_genus + 1)]
+    classes, entries = {}, []
+    for (g, cls), v in zip(*_table_values(t)):
+        text = classes.get(cls)
+        if text is None:
+            text = classes[cls] = _ENTRY_CLASS % ",\n        ".join(map(str, cls))
+        entries.append(f"{genera[g]}{text}{v}{_ENTRY_TAIL}")
+    entries = ",\n".join(entries)
     weights = ",\n    ".join(map(str, t.degree_weights))
     body = f"[\n{entries}\n  ]" if entries else "[]"
     return _TABLE % (t.rank, weights, t.kind, t.max_genus, t.max_degree, body)
@@ -200,6 +213,9 @@ _MISSING = object()
 def _entry_fault(i, key, v):
     """Raise the SchemaError of entry i's field key holding v: missing, of a
     type off the schema, negative, or a string that is not a rational."""
+    if key == "class" and type(v) is list:  # the fault of its first bad component
+        j, c = next((j, c) for j, c in enumerate(v) if type(c) is not int or c < 0)
+        _entry_fault(i, f"class[{j}]", c)
     where = f"entries[{i}].{key}"
     if v is _MISSING:
         raise SchemaError(f"missing key: {where}")
@@ -216,8 +232,9 @@ def table_from_json(d):
 
     Each entry is checked in one pass, in the order genus, class, value,
     duplicates, bps integrality, cone and window, and written straight into
-    the table: a bps value as an int, a gw value as a Fraction, a zero value
-    not at all."""
+    the table: a bps value as an int, a gw value as its reduced int pair
+    (num, den), a zero value not at all.  The cone and the degree are tested
+    once per distinct class, after its components pass their type checks."""
     kind = _get(d, "", "kind", _kind)
     rank = _get(d, "", "rank", _count)
     weights = _get(d, "", "degree_weights", _counts)
@@ -227,7 +244,7 @@ def table_from_json(d):
         raise SchemaError(f"degree_weights: need {rank} positive weights, got {weights}")
     max_genus, max_degree = _get(d, "", "max_genus", _count), _get(d, "", "max_degree", _count)
     table = InvariantTable(kind, rank, weights, max_genus, max_degree)
-    entries, seen, bps = table.entries, {}, kind == BPS
+    entries, seen, degrees, bps = table.entries, {}, {}, kind == BPS
     for i, e in enumerate(_get(d, "", "entries", _list)):
         if type(e) is not dict:
             raise SchemaError(f"entries[{i}]: expected an object")
@@ -237,37 +254,40 @@ def table_from_json(d):
         cls = e.get("class", _MISSING)
         if type(cls) is not list:
             _entry_fault(i, "class", cls)
-        for j, c in enumerate(cls):
+        for c in cls:
             if type(c) is not int or c < 0:
-                _entry_fault(i, f"class[{j}]", c)
+                _entry_fault(i, "class", cls)
         cls = tuple(cls)
         v = e.get("value", _MISSING)
         if type(v) is int:
             num, den = v, 1
-        elif type(v) is str and _RATIONAL.fullmatch(v):
-            num, _, den = v.partition("/")
-            num, den = int(num), int(den) if den else 1
+        elif type(v) is str and (match := _RATIONAL.fullmatch(v)):
+            num, den = int(match[1]), int(match[2] or 1)
+            common = gcd(num, den)
+            if common != 1:
+                num, den = num // common, den // common
         else:
             _entry_fault(i, "value", v)
         key = (g, cls)
-        if key in seen:
-            raise SchemaError(f"entries[{i}]: duplicate of entries[{seen[key]}]")
-        seen[key] = i
-        if bps and num % den:
-            raise SchemaError(
-                f"entries[{i}].value: {Fraction(num, den)} is not an integer in a bps table"
-            )
-        if len(cls) != rank or not any(cls):
-            raise SchemaError(
-                f"entries[{i}]: {cls} is not a nonzero class of the rank-{rank} effective cone"
-            )
-        if g > max_genus or sum(map(mul, weights, cls)) > max_degree:
+        first = seen.setdefault(key, i)
+        if first != i:
+            raise SchemaError(f"entries[{i}]: duplicate of entries[{first}]")
+        if bps and den != 1:
+            raise SchemaError(f"entries[{i}].value: {num}/{den} is not an integer in a bps table")
+        degree = degrees.get(cls)
+        if degree is None:
+            if len(cls) != rank or not any(cls):
+                raise SchemaError(
+                    f"entries[{i}]: {cls} is not a nonzero class of the rank-{rank} effective cone"
+                )
+            degree = degrees[cls] = sum(map(mul, weights, cls))
+        if g > max_genus or degree > max_degree:
             raise SchemaError(
                 f"entries[{i}]: ({g}, {cls}) lies outside the table window "
                 f"(max_genus={max_genus}, max_degree={max_degree})"
             )
         if num:
-            entries[key] = num // den if bps else Fraction(num, den)
+            entries[key] = num if bps else (num, den)
     return table
 
 

@@ -289,6 +289,26 @@ def _multicover_kernel(k: int, h: int, lambda_order: int) -> dict[int, Fraction]
     return {e: c for e, c in out.items() if e <= lambda_order}
 
 
+def pair_fractions(
+    entries: dict[tuple[int, tuple[int, ...]], tuple[int, int]],
+) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """{key: Fraction(num, den)} for the entries of a GW table, which hold
+    each value as its reduced int pair (num, den).  A value that is not a
+    pair of ints with num != 0, den >= 1 and gcd(num, den) == 1 raises
+    ValueError, so comparing through this map also pins the stored form."""
+    out = {}
+    for key, pair in entries.items():
+        if type(pair) is not tuple or len(pair) != 2 or {type(x) for x in pair} != {int}:
+            raise ValueError(f"{key}: {pair!r} is not a pair of ints")
+        if pair[1] < 1:
+            raise ValueError(f"{key}: {pair!r} has a denominator below 1")
+        value = Fraction(*pair)
+        if pair != (value.numerator, value.denominator) or not value:
+            raise ValueError(f"{key}: {pair!r} is not a reduced nonzero pair")
+        out[key] = value
+    return out
+
+
 def gw_from_bps(
     entries: dict[tuple[int, tuple[int, ...]], int],
     degree_weights: tuple[int, ...],

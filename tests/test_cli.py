@@ -400,6 +400,19 @@ def test_negative_windows_are_refused(tmp_path, capsys, command, flag, value, me
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, given, needed",
+    [("gv-from-gw", "bps", "gw"), ("gw-from-gv", "gw", "bps"), ("roundtrip-check", "gw", "bps")],
+)
+def test_table_of_the_wrong_kind_names_its_path(tmp_path, capsys, command, given, needed):
+    # an input fault at the path kind, worded for the subcommand, not for
+    # the library function behind it
+    path = write_table(tmp_path, "t.json", InvariantTable(given, 1, (1,), 2, 3, {(0, (1,)): 1}))
+    code, text = run(tmp_path, command, "--in", path)
+    assert code == 2 and text == ""
+    assert one_error_line(capsys) == f"error: kind: {command} needs a '{needed}' table, got '{given}'"
+
+
 def test_roundtrip_refuses_negative_lambda_order(tmp_path, capsys):
     path = write_table(tmp_path, "t.json", InvariantTable("bps", 1, (1,), 0, 3))
     code, text = run(tmp_path, "roundtrip-check", "--in", path, "--lambda-order", "-3")

@@ -84,8 +84,10 @@ def test_sin_power_coefficients_are_fractions():
                 assert type(c) is Fraction, (k, e, c)
     bps = InvariantTable("bps", 1, (1,), 3, 6, {(0, (1,)): 1, (2, (2,)): -3, (1, (3,)): 2})
     gw = gw_from_gv(bps, 8)
-    assert gw.entries
-    assert all(type(v) is Fraction for v in gw.entries.values())
+    # GW values are stored as reduced int pairs, a whole one over 1
+    assert gw.entries[(0, (1,))] == (1, 1) and gw.entries[(0, (6,))] == (1, 216)
+    assert gw.entries[(1, (3,))] == (73, 36) and gw.entries[(2, (2,))] == (-359, 120)
+    assert oracles.pair_fractions(gw.entries) == oracles.gw_from_bps(bps.entries, (1,), 8, 6)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -233,7 +235,9 @@ def test_window_semantics():
     gw = InvariantTable("gw", 1, (1,), 2, 4)
     gw.set(0, (1,), Fraction(1, 8))
     gw.set(1, (1,), 7)
-    assert type(gw.get(1, (1,))) is Fraction
+    assert gw.entries == {(0, (1,)): (1, 8), (1, (1,)): (7, 1)}
+    assert type(gw.get(1, (1,))) is Fraction and gw.get(1, (1,)) == 7
+    assert type(gw.get(0, (2,))) is Fraction and gw.get(0, (2,)) == 0
     # a GW table is a truncation: outside the window is unknown, not zero
     with pytest.raises(InsufficientTruncation):
         gw.get(0, (5,))
@@ -342,7 +346,7 @@ def test_transform_is_additive():
     gw_a, gw_b = gw_from_gv(a, 6), gw_from_gv(b, 6)
     merged = InvariantTable("gw", 1, (1,), gw_a.max_genus, gw_a.max_degree)
     for (h, cls) in set(gw_a.entries) | set(gw_b.entries):
-        merged.set(h, cls, gw_a.entries.get((h, cls), 0) + gw_b.entries.get((h, cls), 0))
+        merged.set(h, cls, gw_a.get(h, cls) + gw_b.get(h, cls))
     recovered = gv_from_gw(merged, 6)
     assert recovered.entries == {(0, (1,)): 2, (1, (2,)): -3}
 
@@ -397,7 +401,7 @@ def test_transform_matches_multicover_oracle(case):
     bps, lambda_order, degree_order = case
     gw = gw_from_gv(bps, lambda_order, degree_order)
     assert (gw.max_genus, gw.max_degree) == ((lambda_order + 2) // 2, degree_order)
-    assert gw.entries == oracles.gw_from_bps(
+    assert oracles.pair_fractions(gw.entries) == oracles.gw_from_bps(
         bps.entries, bps.degree_weights, lambda_order, degree_order
     )
     # the inverse recovers every entry inside both windows, and only those
@@ -418,7 +422,7 @@ def test_oracle_case_with_rows_above_the_window():
     for degree_order in (3, 4):
         gw = gw_from_gv(bps, 1, degree_order)
         want = oracles.gw_from_bps(bps.entries, (1, 2), 1, degree_order)
-        assert gw.entries == want
+        assert oracles.pair_fractions(gw.entries) == want
         assert ((0, (0, 2)) in want) == (degree_order == 4)
     # k = 2: n_0 = 2 gives 2 (1/2) (2 sin lam)^(-2) = 1/4 lam^-2 + 1/12 + ...,
     # n_1 = -1 gives -1/2 lam^0
@@ -437,10 +441,10 @@ def test_high_multiplicity_assembly_matches_oracle():
     bps = InvariantTable("bps", 1, (1,), 2, 60, entries)
     gw = gw_from_gv(bps, 2)
     assert (gw.max_genus, gw.max_degree) == (2, 60)
-    assert gw.entries == oracles.gw_from_bps(entries, (1,), 2, 60)
+    # pair_fractions also refuses any stored value that is not a reduced int pair
+    assert oracles.pair_fractions(gw.entries) == oracles.gw_from_bps(entries, (1,), 2, 60)
     assert {g for g, _ in gw.entries} == {0, 1, 2}
     assert (0, (60,)) in gw.entries and (2, (60,)) in gw.entries
-    assert all(type(v) is Fraction for v in gw.entries.values())
 
 
 @st.composite
@@ -496,7 +500,9 @@ def inversion_outcome(gw, lambda_order, degree_order):
 @settings(max_examples=150, deadline=None)
 def test_integer_peel_matches_fraction_peel(case):
     gw, lambda_order, degree_order = case
-    expected = oracles.gv_from_gw_fractions(gw.entries, gw.degree_weights, lambda_order, degree_order)
+    expected = oracles.gv_from_gw_fractions(
+        oracles.pair_fractions(gw.entries), gw.degree_weights, lambda_order, degree_order
+    )
     got = inversion_outcome(gw, lambda_order, degree_order)
     assert got == expected
     if expected[0] == "non-integral":
@@ -517,6 +523,8 @@ def test_integer_peel_matches_fraction_peel_on_dense_tables(weights, lambda_orde
     gw = gw_from_gv(InvariantTable("bps", rank, weights, max_genus, 6, entries), 2 * max_genus)
     for off in (Fraction(0), Fraction(1, 7)):
         gw.set(0, classes[-1], gw.get(0, classes[-1]) + off)
-        expected = oracles.gv_from_gw_fractions(gw.entries, weights, lambda_order, degree_order)
+        expected = oracles.gv_from_gw_fractions(
+            oracles.pair_fractions(gw.entries), weights, lambda_order, degree_order
+        )
         assert inversion_outcome(gw, lambda_order, degree_order) == expected
     assert expected[0] == ("non-integral" if degree_order == 6 else "table")

@@ -32,10 +32,7 @@ if route == "character":
     argv = ["bps-rational-elliptic", "--gmax", "2"]
     expected = sl2.RouteDisagreement
 else:
-    real_sin = gvtransform.sin_power_series
-    gvtransform.sin_power_series = lambda k, e, order: (
-        real_sin(k, e, order) if k > 1 else gvtransform.LambdaSeries(order=order)
-    )
+    gvtransform._sin_power_cached = lambda exponent, order: (1, ())
     gw = gvtransform.InvariantTable("gw", 1, (1,), 1, 1, {(0, (1,)): 1})
     call = lambda: gvtransform.gv_from_gw(gw, 0, 1)
     path = os.path.join(workdir, "gw.json")
@@ -75,8 +72,8 @@ def test_check_raises_typed_error_under_O(route, exc_name, tmp_path):
 
 
 # the patched u_expand adds 1 to every n_h of the unit character {0: 1};
-# the patched sin_power_series drops the k = 1 kernel, so the genus-0 GW
-# value 1 of class (1,) stays behind as 1 * lam^-2
+# the patched integer sin-power kernel has no terms, so every k = 1 kernel
+# row is 0 and the genus-0 GW value 1 of class (1,) stays behind as 1 * lam^-2
 PAYLOADS = {
     "character": {
         "ok": False,

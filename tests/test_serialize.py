@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from bps_series.anomaly import GradedPoly, ZFunction, reference_solutions
 from bps_series.goettsche import BettiVector, goettsche_series, refined_goettsche_res
 from bps_series.gvtransform import InvariantTable
@@ -132,10 +133,15 @@ def test_table_round_trip_and_determinism():
 @given(table_cases())
 @example(("bps", 1, (1,), 0, 0, {}))
 @example(("gw", 3, (1, 2, 3), 4, 6, {}))
+@example(("gw", 2, (1, 1), 2, 3, {(0, (1, 0)): 7, (1, (0, 2)): Fraction(-6, 3), (2, (1, 1)): -1}))
 def test_table_text_matches_json_dumps(case):
     table = InvariantTable(*case)
     text = json.dumps(table_to_json(table), indent=2) + "\n"
     assert table_text(table) == text
+    # each value is written as the str of the int or Fraction it was set
+    # from: "p" for a whole value, never "p/1"
+    values = [str(v) for _, v in sorted(case[-1].items()) if v]
+    assert [e["value"] for e in json.loads(text)["entries"]] == values
 
 
 def test_gw_table_keeps_rationals():
@@ -258,9 +264,9 @@ def test_table_faults_name_their_path(kind, change, message):
     [
         ("bps", "+3", 3),
         ("bps", "4/2", 2),
-        ("gw", "4/2", Fraction(2)),
-        ("gw", "-6/4", Fraction(-3, 2)),
-        ("gw", 7, Fraction(7)),
+        ("gw", "4/2", (2, 1)),
+        ("gw", "-6/4", (-3, 2)),
+        ("gw", 7, (7, 1)),
         ("bps", "-0", None),
         ("gw", "-0", None),
         ("bps", "0/5", None),
@@ -268,11 +274,23 @@ def test_table_faults_name_their_path(kind, change, message):
     ],
 )
 def test_table_value_strings(kind, value, expected):
-    # a bps value decodes to an int, a gw value to a Fraction; zero is dropped
+    # a bps value decodes to an int, a gw value to its reduced int pair; zero
+    # is dropped
     doc = table_to_json(InvariantTable(kind, 1, (1,), 0, 1))
     doc["entries"] = [{"genus": 0, "class": [1], "value": value}]
-    got = table_from_json(doc).entries.get((0, (1,)))
+    table = table_from_json(doc)
+    got = table.entries.get((0, (1,)))
     assert got == expected and type(got) is type(expected)
+    if type(got) is tuple:
+        assert [type(x) for x in got] == [int, int]
+    if kind == "gw":
+        # get reads the pair back as the equal Fraction
+        back = table.get(0, (1,))
+        assert type(back) is Fraction and back == (Fraction(*expected) if expected else 0)
+    # set stores the value as the decoder does
+    built = InvariantTable(kind, 1, (1,), 0, 1)
+    built.set(0, (1,), Fraction(value))
+    assert built.entries == table.entries
 
 
 def _encodings(v):
@@ -292,7 +310,12 @@ def test_decoded_table_equals_constructed_table(case, data):
     ]
     decoded = table_from_json(doc)
     assert decoded == InvariantTable(kind, rank, weights, max_genus, max_degree, entries)
-    assert all(type(v) is (int if kind == "bps" else Fraction) for v in decoded.entries.values())
+    if kind == "bps":
+        assert all(type(v) is int for v in decoded.entries.values())
+    else:
+        # pair_fractions refuses any value that is not a reduced int pair
+        nonzero = {key: Fraction(v) for key, v in entries.items() if v}
+        assert oracles.pair_fractions(decoded.entries) == nonzero
 
 
 def _monomial(d, i, j):
