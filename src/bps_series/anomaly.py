@@ -18,13 +18,14 @@ assuming it.  All remaining equations must then hold literally and exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .gvtransform import _sin_power_cached
 from .laurent import coefficient, collect, mul_terms
-from .modular import eisenstein, zeta_even_ratio
+from .modular import _eisenstein_row, eisenstein, zeta_even_ratio
 from .qseries import QSeries, _int_convolution, _scaled, eta_product, euler_int_layers, require_int
 
 
@@ -143,6 +144,7 @@ class GradedPoly:
 
 
 def _check_degree_genus(n, g):
+    require_int(n=n, g=g)
     if n < 1 or g < 0:
         raise ValueError(f"need n >= 1 and g >= 0, got n={n}, g={g}")
 
@@ -197,6 +199,7 @@ def anomaly_rhs(n, g, known):
     polynomial with fiber degree < n and genus <= g, plus (g-1, n) when
     g >= 1.
     """
+    require_int(n=n, g=g)
     total = GradedPoly(max(2 * g + 6 * n - 4, 0))
     for s in range(1, n):
         for g1 in range(g + 1):
@@ -263,16 +266,42 @@ def verify_anomaly(table):
 
 
 def realize(poly, n, order):
-    """q-expansion of poly(E2, E4, E6) / prod_k (1 - q^k)^(12 n)."""
-    series = {2: eisenstein(2, order), 4: eisenstein(4, order), 6: eisenstein(6, order)}
-    total = QSeries.zero(order)
-    for (a, b, c), coeff in sorted(poly.monomials.items()):
-        term = QSeries.constant(coeff, order)
-        for weight, power in ((2, a), (4, b), (6, c)):
-            if power:
-                term = term * series[weight] ** power
-        total = total + term
-    return total * eta_product(-12 * n, order)
+    """q-expansion of poly(E2, E4, E6) / prod_k (1 - q^k)^(12 n), from _realize_ints."""
+    require_int(n=n, order=order)
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    d, v = _realize_ints(poly, n, order)
+    return QSeries([Fraction(x, d) for x in v], order)
+
+
+def _realize_ints(poly, n, order):
+    """(D, V) over int, V[m] / D the q^m coefficient of realize: the numerator
+    summed over D, the lcm of its coefficient denominators, from the cached
+    integer monomials, then one product with the integer eta product."""
+    d, scales = _scaled(poly.monomials.values())
+    rows = [_monomial(key, order) for key in poly.monomials] or [(0,) * (order + 1)]
+    numerator = [sum(map(mul, scales, col)) for col in zip(*rows)]
+    return d, _int_convolution(numerator, eta_product(-12 * n, order).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _monomial(key, order):
+    """E2^a E4^b E6^c through q^order as a tuple of ints, key = (a, b, c).
+
+    E2, E4 and E6 are read from eisenstein, whose coefficients are integers
+    at these weights.  E2^a E4^b E6^c is E2^a times E4^b E6^c, and any other
+    monomial is one factor times the monomial with its last nonzero exponent
+    lowered by one, so a numerator's monomials share their parts."""
+    a, b, c = key
+    if a + b + c == 1:
+        return tuple(x.numerator for x in eisenstein(2 * a + 4 * b + 6 * c, order).coeffs)
+    if a and (b or c):
+        return tuple(_int_convolution(_monomial((a, 0, 0), order), _monomial((0, b, c), order)))
+    if not any(key):
+        return (1,) + (0,) * order
+    unit = (0, 0, 1) if c else (0, 1, 0) if b else (1, 0, 0)
+    lower = tuple(map(sub, key, unit))
+    return tuple(_int_convolution(_monomial(unit, order), _monomial(lower, order)))
 
 
 def solve_anomaly(n, g, known, boundary_q_coeffs):
@@ -308,11 +337,7 @@ def solve_anomaly(n, g, known, boundary_q_coeffs):
         for t in range(len(boundary))
     ]
     solution = _solve_exact(rows, len(basis))
-    out = particular
-    for key, x in zip(basis, solution):
-        if x:
-            out = out + GradedPoly(weight, {key: x})
-    return out
+    return particular + GradedPoly(weight, dict(zip(basis, solution)))
 
 
 def _solve_exact(rows, nvars):
@@ -427,7 +452,7 @@ def genus_series_n1(g_max, q_order):
     require_int(g_max=g_max, q_order=q_order)
     if g_max < 0 or q_order < 0:
         raise ValueError(f"need g_max >= 0 and q_order >= 0, got {g_max} and {q_order}")
-    dz, z0 = _scaled(realize(GradedPoly.e4(), 1, q_order).coeffs)
+    dz, z0 = _realize_ints(GradedPoly.e4(), 1, q_order)
     rows = _product_rows(2 * g_max, q_order)
     return [QSeries([Fraction(x, dz * d) for x in _int_convolution(z0, r)]) for r, d in rows]
 
@@ -474,11 +499,12 @@ def _exponential_rows(lambda_order, q_order):
     """[(l_n, e_n) for n <= lambda_order // 2]: the exponential side's q^m y^n
     coefficient is l_n[m] / e_n.  With A_k = w_k E_{2k} the exponent's y^k
     term, L_0 = 1 and n L_n = sum_{k<=n} k A_k L_{n-k}, over one denominator
-    reduced by the gcd of its content."""
+    reduced by the gcd of its content.  Each E_{2k} is read as the integer
+    row (D, V) of modular's kernel, no Fraction made."""
     scaled = []  # k A_k = 2 zeta_ratio(k) E_{2k} for k >= 1, over int
     for k in range(1, lambda_order // 2 + 1):
         z = zeta_even_ratio(k)
-        d, e = _scaled(eisenstein(2 * k, q_order).coeffs)
+        d, e = _eisenstein_row(2 * k, q_order)
         scaled.append(([2 * z.numerator * x for x in e], z.denominator * d))
     rows = [([1] + [0] * q_order, 1)]
     for n in range(1, len(scaled) + 1):
@@ -512,11 +538,12 @@ def triple_product_check(lambda_order, q_order):
     y-rows in y = lam^2 to order lambda_order // 2, one integer q-series over
     one denominator per y^j, compared by cross-multiplication, m-major;
     Fractions are made only for the first mismatch, reported at its power 2j
-    of lam.  The left side comes from eisenstein and zeta_even_ratio, the
-    right one from the Euler and sin-power kernels, and neither calls the
-    other's, so a fault in either shows up as a mismatch.  At q^0 the product
-    is the prefactor alone, so every call also checks the transform's h = 0
-    kernel row against the Bernoulli numbers behind zeta_even_ratio.
+    of lam.  The left side comes from modular's integer Eisenstein rows
+    (tangent numbers and a divisor sieve) and zeta_even_ratio, the right one
+    from the Euler and sin-power kernels, and neither calls the other's, so a
+    fault in either shows up as a mismatch.  At q^0 the product is the
+    prefactor alone, so every call also checks the transform's h = 0 kernel
+    row against the Bernoulli numbers behind zeta_even_ratio.
     """
     require_int(lambda_order=lambda_order, q_order=q_order)
     if lambda_order < 2 or q_order < 2:

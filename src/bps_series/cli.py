@@ -29,6 +29,7 @@ window.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -53,20 +54,30 @@ class CheckFailed(Exception):
 
 
 def _emit(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+    """text to stdout, or its (ASCII) bytes to the file at path, unbuffered."""
+    if not path:
         sys.stdout.write(text)
+        return
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path, flag):
+    """The JSON document at path; an unreadable or malformed file is a fault of flag."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _str_keys(d):
@@ -109,7 +120,7 @@ def cmd_bps_rational_elliptic(args):
 
 def _load_table(args, kind):
     """The table of --in; one of another kind is an input fault at its kind."""
-    table = serialize.table_from_json(_load_json(args.infile))
+    table = serialize.table_from_json(_load_json(args.infile, "--in"))
     if table.kind != kind:
         wanted = f"{args.command} needs a {kind!r} table"
         raise serialize.SchemaError(f"kind: {wanted}, got {table.kind!r}")
@@ -167,7 +178,7 @@ def _report_to_json(report):
 
 
 def cmd_anomaly_verify(args):
-    table = serialize.zfunctions_from_json(_load_json(args.table))
+    table = serialize.zfunctions_from_json(_load_json(args.table, "--table"))
     report = anomaly.verify_anomaly(table)
     payload = _report_to_json(report)
     failure = f"anomaly recursion holds on only {payload['passed']} entries"
@@ -175,7 +186,7 @@ def cmd_anomaly_verify(args):
 
 
 def cmd_anomaly_solve(args):
-    table = serialize.zfunctions_from_json(_load_json(args.table))
+    table = serialize.zfunctions_from_json(_load_json(args.table, "--table"))
     known = {(z.g, z.n): z.poly for z in table}
     boundary = [
         serialize.rational(x, f"--boundary[{i}]")

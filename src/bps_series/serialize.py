@@ -30,6 +30,7 @@ class SchemaError(ValueError):
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+_SCALARS = frozenset((int, Fraction))
 _JSON_TYPES = {
     bool: "bool", int: "int", float: "float", str: "string", list: "array", dict: "object"
 }
@@ -45,16 +46,25 @@ def _int(v, where):
     return v
 
 
+def _fraction(v):
+    """The Fraction of v, a JSON int or a "p/q" string, or None for any other
+    value; a string's Fraction is made from the groups the match found."""
+    if type(v) is int:
+        return Fraction(v)
+    if type(v) is str and (match := _RATIONAL.fullmatch(v)):
+        return Fraction(int(match[1]), int(match[2] or 1))
+    return None
+
+
 def rational(v, where):
     """A rational given as an int or a "p/q" string; anything else, floats and
     decimal strings included, raises SchemaError naming where."""
-    if type(v) is int:
-        return Fraction(v)
-    if type(v) is not str:
+    x = _fraction(v)
+    if x is None:
+        if type(v) is str:
+            raise SchemaError(f"{where}: {v!r} is not an integer or a p/q string")
         _refuse(v, where)
-    if not _RATIONAL.fullmatch(v):
-        raise SchemaError(f"{where}: {v!r} is not an integer or a p/q string")
-    return Fraction(v)
+    return x
 
 
 def _list(v, where):
@@ -80,13 +90,6 @@ def _kind(v, where):
     if v not in (GW, BPS):
         raise SchemaError(f"{where}: {v!r} is not {GW!r} or {BPS!r}")
     return v
-
-
-def _no_duplicate(seen, key, where):
-    """Record that key appears at where; a second appearance raises SchemaError."""
-    if key in seen:
-        raise SchemaError(f"{where}: duplicate of {seen[key]}")
-    seen[key] = where
 
 
 def _join(path, key):
@@ -117,16 +120,19 @@ def series_to_json(s, pad=""):
     is its "p/q" string; a LaurentPoly one the list of its sorted terms
     {"exps": [...], "coeff": "p/q"}, each written from one template."""
     i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
-    coeffs = []
-    for c in s.coeffs:
-        if not isinstance(c, LaurentPoly):
-            coeffs.append(f'"{frac_str(c)}"')
-            continue
-        exps = f",\n{i5}".join(["%d"] * c.nvars)
-        exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
-        term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
-        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
-        coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
+    if _SCALARS.issuperset(map(type, s.coeffs)):  # one type test per series
+        coeffs = [f'"{c}"' for c in map(str, s.coeffs)]
+    else:
+        coeffs = []
+        for c in s.coeffs:
+            if not isinstance(c, LaurentPoly):
+                coeffs.append(f'"{frac_str(c)}"')
+                continue
+            exps = f",\n{i5}".join(["%d"] * c.nvars)
+            exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
+            term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
+            terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
+            coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
     coeffs = f",\n{i2}".join(coeffs)
     return (
         f'{{\n{i1}"var": {encode_basestring_ascii(s.var)},\n{i1}"order": {s.order:d},\n'
@@ -142,6 +148,8 @@ def genus_series_to_json(series_list):
 
 def series_to_tsv(s):
     """One row per power: power <TAB> coefficient."""
+    if _SCALARS.issuperset(map(type, s.coeffs)):  # one type test per series
+        return "".join(f"{i}\t{c}\n" for i, c in enumerate(map(str, s.coeffs)))
     return "".join(
         f"{i}\t{repr(c) if isinstance(c, LaurentPoly) else frac_str(c)}\n"
         for i, c in enumerate(s.coeffs)
@@ -301,23 +309,39 @@ def poly_to_json(p):
     }
 
 
+def _monomial_fault(path, i, m, weight, seen):
+    """Raise the SchemaError of monomial i, m, of the numerator at path: its
+    first bad count or coefficient, a repeat of a key in seen (key -> index),
+    or a weight off the declared one."""
+    monomials = _join(path, "monomials")
+    where = f"{monomials}[{i}]"
+    key = tuple(_get(m, where, e, _count) for e in ("e2", "e4", "e6"))
+    coeff = _get(m, where, "coeff", rational)
+    if key in seen:
+        raise SchemaError(f"{where}: duplicate of {monomials}[{seen[key]}]")
+    try:
+        GradedPoly(weight, {key: coeff})
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def poly_from_json(d, path=""):
     """A GradedPoly; a fault of the document or of one monomial (a bad count,
     a weight off the declared one, a repeated monomial) raises SchemaError
-    naming its path."""
+    naming its path.  Each monomial is checked in one pass, its path built
+    only to raise its fault, and the numerator made as one GradedPoly."""
     weight = _get(d, path, "weight", _count)
-    poly = GradedPoly(weight)
-    seen = {}
+    monomials, seen = {}, {}
     for i, m in enumerate(_get(d, path, "monomials", _list)):
-        where = f"{_join(path, 'monomials')}[{i}]"
-        key = tuple(_get(m, where, e, _count) for e in ("e2", "e4", "e6"))
-        coeff = _get(m, where, "coeff", rational)
-        _no_duplicate(seen, key, where)
-        try:
-            poly = poly + GradedPoly(weight, {key: coeff})
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    return poly
+        if type(m) is not dict:
+            _monomial_fault(path, i, m, weight, seen)
+        key = a, b, c = m.get("e2"), m.get("e4"), m.get("e6")
+        coeff = _fraction(m.get("coeff"))
+        ok = type(a) is type(b) is type(c) is int and min(key) >= 0 and coeff is not None
+        if not ok or 2 * a + 4 * b + 6 * c != weight or seen.setdefault(key, i) != i:
+            _monomial_fault(path, i, m, weight, seen)
+        monomials[key] = coeff
+    return GradedPoly(weight, monomials)
 
 
 def zfunctions_to_json(zfs):
@@ -336,7 +360,9 @@ def zfunctions_from_json(items):
         where = f"[{i}]"
         n, g = _get(d, where, "n", _count), _get(d, where, "g", _count)
         poly = _get(d, where, "poly", poly_from_json)
-        _no_duplicate(seen, (n, g), where)
+        if (n, g) in seen:
+            raise SchemaError(f"{where}: duplicate of {seen[n, g]}")
+        seen[n, g] = where
         try:
             zfs.append(ZFunction(n, g, poly))
         except ValueError as exc:

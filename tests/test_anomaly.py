@@ -8,7 +8,7 @@ from math import gcd
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bps_series import anomaly, cli
@@ -286,6 +286,44 @@ def test_zfunction_realize_matches_module_function():
     assert realize(z.poly, z.n, 4) == expect
 
 
+def _realized_by_fractions(poly, n, order):
+    """poly(E2, E4, E6) / prod (1 - q^k)^(12 n) for n >= 0, every product a
+    schoolbook Fraction product of the divisor-sum oracle's series."""
+    e = {w: oracles.eisenstein_coeffs(w, order) for w in (2, 4, 6)}
+    total = [Fraction(0)] * (order + 1)
+    for (a, b, c), coeff in poly.monomials.items():
+        term = [Fraction(coeff)] + [Fraction(0)] * order
+        for w in [2] * a + [4] * b + [6] * c:
+            term = oracles.series_mul_fractions(term, e[w])
+        total = [x + y for x, y in zip(total, term)]
+    partitions = [oracles.partition_count_simple(k) for k in range(order + 1)]
+    for _ in range(12 * n):
+        total = oracles.series_mul_fractions(total, partitions)
+    return total
+
+
+# every monomial of weight 24, the coefficients over distinct denominators
+FULL_24 = GradedPoly(24, {key: Fraction(i, 7 + i) for i, key in enumerate(weight_monomials(24), 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9).flatmap(lambda h: graded_polys(2 * h)),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10),
+)
+@example(FULL_24, 2, 8)
+@example(GradedPoly(0, {(0, 0, 0): 3}), 0, 2)
+@example(GradedPoly(6), 1, 3)
+def test_realize_matches_fraction_product(poly, n, order):
+    # the integer numerator over one denominator, from cached monomials,
+    # against a Fraction product built monomial by monomial
+    got = realize(poly, n, order)
+    assert got.order == order
+    assert got.coeffs == _realized_by_fractions(poly, n, order)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 def test_genus_series_matches_realized_polynomials():
     norm = _normalized_reference()
     series = genus_series_n1(3, 8)
@@ -350,6 +388,33 @@ REFUSALS = [
 )
 def test_resummation_refuses_bad_orders(func, args, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
+        func(*args)
+
+
+E4 = GradedPoly.e4()
+ARGUMENT_REFUSALS = {
+    "realize-n-bool": (realize, (E4, True, 2), "n must be an int, got bool True"),
+    "realize-n-float": (realize, (E4, 1.5, 2), "n must be an int, got float 1.5"),
+    "realize-order-float": (realize, (E4, 1, 2.0), "order must be an int, got float 2.0"),
+    "realize-order-negative": (realize, (E4, 1, -1), "truncation order must be >= 0"),
+    "ZFunction-n-bool": (ZFunction, (True, 0, E4), "n must be an int, got bool True"),
+    "ZFunction-g-float": (ZFunction, (1, 0.0, E4), "g must be an int, got float 0.0"),
+    "anomaly_rhs-n-bool": (anomaly_rhs, (True, 0, {}), "n must be an int, got bool True"),
+    "anomaly_rhs-g-float": (anomaly_rhs, (1, 1.5, {}), "g must be an int, got float 1.5"),
+    "solve_anomaly-g-bool": (solve_anomaly, (1, True, {}, [1]), "g must be an int, got bool True"),
+    "solve_anomaly-n-Fraction": (
+        solve_anomaly, (Fraction(1), 0, {}, [1]), "n must be an int, got Fraction Fraction(1, 1)"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "func, args, message", list(ARGUMENT_REFUSALS.values()), ids=list(ARGUMENT_REFUSALS)
+)
+def test_anomaly_entry_points_refuse_non_int_arguments(func, args, message):
+    # a bool is not read as 0 or 1, and a float fails naming its argument,
+    # not an internal call
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         func(*args)
 
 

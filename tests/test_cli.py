@@ -413,6 +413,34 @@ def test_table_of_the_wrong_kind_names_its_path(tmp_path, capsys, command, given
     assert one_error_line(capsys) == f"error: kind: {command} needs a '{needed}' table, got '{given}'"
 
 
+def check_file_faults(tmp_path, capsys, argv, flag):
+    """argv with flag naming a missing file, then a file that is not JSON:
+    each run exits 2, writes nothing and names flag on its error line."""
+    missing, empty = tmp_path / "missing.json", tmp_path / "empty.json"
+    empty.write_text("")
+    lines = []
+    for path in (missing, empty):
+        code, text = run(tmp_path, *argv, flag, str(path))
+        assert code == 2 and text == ""
+        lines.append(one_error_line(capsys))
+    assert lines == [
+        f"error: {flag}: [Errno 2] No such file or directory: {str(missing)!r}",
+        f"error: {flag}: Expecting value: line 1 column 1 (char 0)",
+    ]
+
+
+@pytest.mark.parametrize("command", ["gw-from-gv", "gv-from-gw", "roundtrip-check"])
+def test_table_file_faults_name_in(tmp_path, capsys, command):
+    check_file_faults(tmp_path, capsys, [command], "--in")
+
+
+@pytest.mark.parametrize(
+    "argv", [["anomaly-verify"], ["anomaly-solve", "--n", "1", "--g", "0", "--boundary", "1"]]
+)
+def test_zfunction_file_faults_name_table(tmp_path, capsys, argv):
+    check_file_faults(tmp_path, capsys, argv, "--table")
+
+
 def test_roundtrip_refuses_negative_lambda_order(tmp_path, capsys):
     path = write_table(tmp_path, "t.json", InvariantTable("bps", 1, (1,), 0, 3))
     code, text = run(tmp_path, "roundtrip-check", "--in", path, "--lambda-order", "-3")

@@ -16,8 +16,8 @@ from operator import add, mul
 import pytest
 from costs import c_calls_made, counting_fractions, fractions_made
 
-from bps_series.anomaly import genus_series_n1, triple_product_check
-from bps_series import gvtransform, modular, sl2
+from bps_series.anomaly import GradedPoly, genus_series_n1, realize, triple_product_check
+from bps_series import anomaly, gvtransform, modular, sl2
 from bps_series.goettsche import (
     BettiVector,
     bps_rational_elliptic,
@@ -33,7 +33,7 @@ from bps_series.gvtransform import (
 )
 from bps_series.modular import eisenstein, zeta_even_ratio
 from bps_series.qseries import QSeries, eta_product, euler_int_layers
-from bps_series.serialize import table_from_json, table_text, table_to_json
+from bps_series.serialize import poly_from_json, table_from_json, table_text, table_to_json
 
 
 def test_counter_sees_every_maker_and_restores_it():
@@ -145,29 +145,70 @@ def test_hilbert_pipeline_c_call_counts(count, arg, bound):
 def _empty_resummation_caches():
     # emptied caches give the count of a fresh process, not a lower one
     gvtransform._sin_power_cached.cache_clear()
-    del modular._bernoulli_cache[1:]
+    modular._eisenstein_row.cache_clear()
+    del modular._even_bernoulli[1:]
+    anomaly._monomial.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "build, args, bound",
+    [
+        # the even ones from the tangent numbers, one Fraction each: 12; the
+        # binomial recurrence over Fraction made 672 on CPython 3.10/3.11 and
+        # 996 on 3.12/3.13
+        (modular.bernoulli, (24,), 15),
+        # one per coefficient from the integer row, plus the Bernoulli
+        # numbers and the series' zero: 34 and 35; a Fraction scaled per
+        # coefficient made 697 and 1,042
+        (eisenstein, (24, 20), 40),
+    ],
+    ids=["bernoulli", "eisenstein"],
+)
+def test_modular_fraction_counts(build, args, bound):
+    _empty_resummation_caches()
+    assert fractions_made(build, *args) <= bound
+
+
+# the weight-40 numerator with each of its 44 monomials at coefficient 1
+WEIGHT_40 = GradedPoly(
+    40,
+    {(a, b, c): 1 for a in range(21) for b in range(11) for c in range(7) if a + 2 * b + 3 * c == 20},
+)
+
+
+def test_realize_fraction_count():
+    # with cold caches: 171 on CPython 3.10/3.11 and 175 on 3.12/3.13, the
+    # E2, E4 and E6 series read from eisenstein, the Bernoulli numbers behind
+    # them and one per output coefficient; summing QSeries products of
+    # Eisenstein powers over Fraction made 21,863 and 22,852
+    _empty_resummation_caches()
+    assert len(WEIGHT_40.monomials) == 44
+    assert fractions_made(realize, WEIGHT_40, 4, 40) <= 200
 
 
 def test_triple_product_check_fraction_count():
     _empty_resummation_caches()
-    # with cold caches: 750 on CPython 3.10/3.11 and 1,210 on 3.12/3.13 (see
-    # costs.py for why they differ), all on the exponential side; the h = 0
-    # kernel row over Fraction made 937 and 1,472, both sides as Fraction
+    # with cold caches: 30 on CPython 3.10/3.11 and 50 on 3.12/3.13 (see
+    # costs.py for why they differ), all from zeta_even_ratio and the
+    # Bernoulli numbers behind it; the Eisenstein series as Fraction series
+    # and the Bernoulli recurrence made 750 and 1,210, the h = 0
+    # kernel row over Fraction 937 and 1,472, both sides as Fraction
     # series, the exponential one from one exp, 5,844 and 8,083, the
     # exponential side as exp of its q^0 part times exp of the rest 9,803 and
     # 13,340, inverting a cosine series for the prefactor 10,012 and 13,506,
     # adding each exponent term into its own series 15,515 and 19,852, and
     # the term-by-term Fraction product 133,300
-    bound = 800 if sys.version_info < (3, 12) else 1_300
+    bound = 40 if sys.version_info < (3, 12) else 60
     assert fractions_made(triple_product_check, 20, 20) <= bound
 
 
 def test_genus_series_fraction_count():
-    # with cold caches: 470 on CPython 3.10/3.11 and 579 on 3.12/3.13; the
-    # h = 0 kernel row over Fraction made 657 and 841, and the product side
-    # as a Fraction series times Z_0 1,185 and 1,435
+    # with cold caches: 266 on CPython 3.10/3.11 and 278 on 3.12/3.13; Z_0
+    # from realize's QSeries products made 404 and 426, the Bernoulli
+    # recurrence 470 and 579, the h = 0 kernel row over Fraction 657 and 841,
+    # and the product side as a Fraction series times Z_0 1,185 and 1,435
     _empty_resummation_caches()
-    bound = 500 if sys.version_info < (3, 12) else 650
+    bound = 300
     assert fractions_made(genus_series_n1, 10, 20) <= bound
 
 
@@ -224,3 +265,34 @@ RANK_TWO_GW = json.loads(table_text(gw_from_gv(RANK_TWO, 6)))
 def test_table_codecs_make_no_fraction(codec):
     # decoding each GW value of the RANK_TWO document into a Fraction made 220
     assert fractions_made(codec, RANK_TWO_GW) == 0
+
+
+# a weight-72 numerator with every one of its 127 monomials, coefficients
+# i/7 for i = 1..127
+NUMERATOR = {
+    "weight": 72,
+    "monomials": [
+        {"e2": a, "e4": b, "e6": c, "coeff": f"{i}/7"}
+        for i, (a, b, c) in enumerate(
+            ((a, b, (36 - a - 2 * b) // 3) for a in range(37) for b in range(19)
+             if 36 - a - 2 * b >= 0 and (36 - a - 2 * b) % 3 == 0),
+            start=1,
+        )
+    ],
+}
+
+
+def test_numerator_decoder_makes_one_graded_poly(monkeypatch):
+    # adding each monomial's own GradedPoly into the running sum made 255
+    # (one per monomial and one per sum), and quadratic work in collect
+    made = [0]
+    init = GradedPoly.__init__
+
+    def counted(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GradedPoly, "__init__", counted)
+    poly = poly_from_json(NUMERATOR)
+    assert made == [1]
+    assert len(NUMERATOR["monomials"]) == len(poly.monomials) == 127

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from bps_series.modular import (
     BadWeight,
+    _eisenstein_row,
     bernoulli,
     divisor_sigma,
     eisenstein,
@@ -32,6 +33,42 @@ def test_bernoulli_values():
         assert bernoulli(n) == value
     for n in (3, 5, 7, 9, 11):
         assert bernoulli(n) == 0
+
+
+def test_bernoulli_matches_recurrence_oracle():
+    # the tangent-number batch against the binomial recurrence, B_1 and the
+    # odd zeros included
+    expect = oracles._bernoulli_list(80)
+    assert [bernoulli(n) for n in range(81)] == expect
+
+
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        (True, "n must be an int, got bool True"),
+        (2.0, "n must be an int, got float 2.0"),
+        (-2, "n must be >= 0"),
+    ],
+)
+def test_bernoulli_refusals_survive_the_cache(arg, message):
+    bernoulli(24)
+    with pytest.raises(ValueError) as info:
+        bernoulli(arg)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("weight", range(2, 31, 2))
+def test_eisenstein_row_matches_oracles(weight):
+    # (D, V) with V[n] / D the q^n coefficient: against the divisor-sum
+    # oracle, and its sieve against divisor_sigma, at every order up to 60
+    expect = oracles.eisenstein_coeffs(weight, 60)
+    factor = -Fraction(2 * weight) / bernoulli(weight)
+    for order in range(61):
+        d, v = _eisenstein_row(weight, order)
+        assert d > 0 and gcd(d, *v) == 1
+        assert [Fraction(x, d) for x in v] == expect[: order + 1]
+        sigmas = [Fraction(x, d) / factor for x in v[1:]]
+        assert sigmas == [divisor_sigma(weight - 1, n) for n in range(1, order + 1)]
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=2000))
@@ -79,10 +116,11 @@ def test_eisenstein_expansions():
 
 
 def test_eisenstein_matches_divisor_sum_oracle():
-    for weight in (2, 4, 6, 8):
-        series = eisenstein(weight, 20)
-        expect = oracles.eisenstein_coeffs(weight, 20)
-        assert [series[i] for i in range(21)] == expect
+    # every coefficient stays a Fraction, whole numbers and the q^0 term too
+    for weight, order in ((2, 0), (2, 20), (4, 20), (6, 20), (8, 20), (10, 20), (24, 20)):
+        series = eisenstein(weight, order)
+        assert series.coeffs == oracles.eisenstein_coeffs(weight, order)
+        assert all(type(c) is Fraction for c in series.coeffs)
 
 
 def test_eisenstein_rejects_bad_weight():
