@@ -289,19 +289,22 @@ def _monomial(key, order):
     """E2^a E4^b E6^c through q^order as a tuple of ints, key = (a, b, c).
 
     E2, E4 and E6 are read from eisenstein, whose coefficients are integers
-    at these weights.  E2^a E4^b E6^c is E2^a times E4^b E6^c, and any other
-    monomial is one factor times the monomial with its last nonzero exponent
-    lowered by one, so a numerator's monomials share their parts."""
+    at these weights.  A mixed monomial is E2^a times E4^b E6^c, or E4^b
+    times E6^c, and a power X^k of one of them X^(k//2) times X^(k - k//2),
+    so the recursion is O(log k) deep and a numerator's monomials share
+    their parts."""
     a, b, c = key
-    if a + b + c == 1:
-        return tuple(x.numerator for x in eisenstein(2 * a + 4 * b + 6 * c, order).coeffs)
     if a and (b or c):
         return tuple(_int_convolution(_monomial((a, 0, 0), order), _monomial((0, b, c), order)))
+    if b and c:
+        return tuple(_int_convolution(_monomial((0, b, 0), order), _monomial((0, 0, c), order)))
+    if a + b + c == 1:
+        return tuple(x.numerator for x in eisenstein(2 * a + 4 * b + 6 * c, order).coeffs)
     if not any(key):
         return (1,) + (0,) * order
-    unit = (0, 0, 1) if c else (0, 1, 0) if b else (1, 0, 0)
-    lower = tuple(map(sub, key, unit))
-    return tuple(_int_convolution(_monomial(unit, order), _monomial(lower, order)))
+    half = (a // 2, b // 2, c // 2)
+    rest = tuple(map(sub, key, half))
+    return tuple(_int_convolution(_monomial(half, order), _monomial(rest, order)))
 
 
 def solve_anomaly(n, g, known, boundary_q_coeffs):

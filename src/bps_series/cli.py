@@ -29,7 +29,6 @@ window.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from types import SimpleNamespace
 
@@ -54,17 +53,11 @@ class CheckFailed(Exception):
 
 
 def _emit(text, path):
-    """text to stdout, or its (ASCII) bytes to the file at path, unbuffered."""
-    if not path:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
         sys.stdout.write(text)
-        return
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data) :]
-    finally:
-        os.close(fd)
 
 
 def _json_text(obj):
@@ -74,8 +67,8 @@ def _json_text(obj):
 def _load_json(path, flag):
     """The JSON document at path; an unreadable or malformed file is a fault of flag."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:  # the bytes in one read, no text layer
+            return json.loads(fh.read().decode())
     except (OSError, ValueError) as exc:
         raise ValueError(f"{flag}: {exc}") from None
 

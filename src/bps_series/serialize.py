@@ -117,22 +117,20 @@ def frac_str(x):
 def series_to_json(s, pad=""):
     """A str: json.dumps({"var", "order", "coeffs"}, indent=2) without the
     final newline, with pad before every line but the first.  A coefficient
-    is its "p/q" string; a LaurentPoly one the list of its sorted terms
+    is its "p/q" string, an int's or a Fraction's str (frac_str only refuses
+    any other type); a LaurentPoly one the list of its sorted terms
     {"exps": [...], "coeff": "p/q"}, each written from one template."""
     i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
-    if _SCALARS.issuperset(map(type, s.coeffs)):  # one type test per series
-        coeffs = [f'"{c}"' for c in map(str, s.coeffs)]
-    else:
-        coeffs = []
-        for c in s.coeffs:
-            if not isinstance(c, LaurentPoly):
-                coeffs.append(f'"{frac_str(c)}"')
-                continue
-            exps = f",\n{i5}".join(["%d"] * c.nvars)
-            exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
-            term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
-            terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
-            coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
+    coeffs = []
+    for c in s.coeffs:
+        if not isinstance(c, LaurentPoly):
+            coeffs.append(f'"{c if type(c) in _SCALARS else frac_str(c)}"')
+            continue
+        exps = f",\n{i5}".join(["%d"] * c.nvars)
+        exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
+        term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
+        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
+        coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
     coeffs = f",\n{i2}".join(coeffs)
     return (
         f'{{\n{i1}"var": {encode_basestring_ascii(s.var)},\n{i1}"order": {s.order:d},\n'
@@ -148,12 +146,11 @@ def genus_series_to_json(series_list):
 
 def series_to_tsv(s):
     """One row per power: power <TAB> coefficient."""
-    if _SCALARS.issuperset(map(type, s.coeffs)):  # one type test per series
-        return "".join(f"{i}\t{c}\n" for i, c in enumerate(map(str, s.coeffs)))
-    return "".join(
-        f"{i}\t{repr(c) if isinstance(c, LaurentPoly) else frac_str(c)}\n"
-        for i, c in enumerate(s.coeffs)
+    texts = (
+        c if type(c) in _SCALARS else repr(c) if isinstance(c, LaurentPoly) else frac_str(c)
+        for c in s.coeffs
     )
+    return "".join(f"{i}\t{t}\n" for i, t in enumerate(texts))
 
 
 def _table_values(t):
@@ -329,9 +326,9 @@ def poly_from_json(d, path=""):
     """A GradedPoly; a fault of the document or of one monomial (a bad count,
     a weight off the declared one, a repeated monomial) raises SchemaError
     naming its path.  Each monomial is checked in one pass, its path built
-    only to raise its fault, and the numerator made as one GradedPoly."""
+    only to raise its fault, and written, if nonzero, into one GradedPoly."""
     weight = _get(d, path, "weight", _count)
-    monomials, seen = {}, {}
+    poly, seen = GradedPoly(weight), {}
     for i, m in enumerate(_get(d, path, "monomials", _list)):
         if type(m) is not dict:
             _monomial_fault(path, i, m, weight, seen)
@@ -340,8 +337,9 @@ def poly_from_json(d, path=""):
         ok = type(a) is type(b) is type(c) is int and min(key) >= 0 and coeff is not None
         if not ok or 2 * a + 4 * b + 6 * c != weight or seen.setdefault(key, i) != i:
             _monomial_fault(path, i, m, weight, seen)
-        monomials[key] = coeff
-    return GradedPoly(weight, monomials)
+        if coeff:  # checked above as GradedPoly checks it
+            poly.monomials[key] = coeff
+    return poly
 
 
 def zfunctions_to_json(zfs):

@@ -324,6 +324,15 @@ def test_realize_matches_fraction_product(poly, n, order):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+@pytest.mark.parametrize("key", [(1200, 0, 0), (0, 300, 700), (2, 300, 700)])
+def test_realize_takes_exponents_past_the_recursion_limit(key):
+    # a power is made from its halves, so the depth grows with log k and a
+    # monomial of degree above the default limit of 1000 frames still builds
+    a, b, c = key
+    poly = GradedPoly(2 * a + 4 * b + 6 * c, {key: 1})
+    assert realize(poly, 1, 2).coeffs == _realized_by_fractions(poly, 1, 2)
+
+
 def test_genus_series_matches_realized_polynomials():
     norm = _normalized_reference()
     series = genus_series_n1(3, 8)
