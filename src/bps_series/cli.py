@@ -193,12 +193,8 @@ def cmd_genus_series(args):
     series_list = anomaly.genus_series_n1(args.gmax, args.q_order)
     if args.format == "json":
         return serialize.genus_series_to_json(series_list)
-    rows = [
-        f"{g}\t{row}"
-        for g, series in enumerate(series_list)
-        for row in serialize.series_to_tsv(series).splitlines()
-    ]
-    return "\n".join(["# g\tpower\tcoeff", *rows]) + "\n"
+    rows = (serialize.series_to_tsv(series, f"{g}\t") for g, series in enumerate(series_list))
+    return "".join(["# g\tpower\tcoeff\n", *rows])
 
 
 def cmd_triple_product_check(args):

@@ -144,13 +144,13 @@ def genus_series_to_json(series_list):
     return f'{{\n  "genus_series": [\n    {body}\n  ]\n}}\n'
 
 
-def series_to_tsv(s):
-    """One row per power: power <TAB> coefficient."""
+def series_to_tsv(s, prefix=""):
+    """One row per power: prefix, power <TAB> coefficient."""
     texts = (
         c if type(c) in _SCALARS else repr(c) if isinstance(c, LaurentPoly) else frac_str(c)
         for c in s.coeffs
     )
-    return "".join(f"{i}\t{t}\n" for i, t in enumerate(texts))
+    return "".join(f"{prefix}{i}\t{t}\n" for i, t in enumerate(texts))
 
 
 def _table_values(t):
