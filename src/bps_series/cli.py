@@ -441,21 +441,21 @@ def _normalize(argv):
     """The command line that both parsers read.
 
     argparse takes a value such as "-1,0" for an option because it starts
-    with "-" and is not a plain number; glue it to a preceding --boundary so
-    that "--boundary -1,0" parses as "--boundary=-1,0".  Before a bare "--",
-    split a value flag of the subcommand written "--flag=--", in full or
-    abbreviated, into "--flag --": argparse before 3.13 drops the "--" and
-    hands the handler an empty list, and 3.13 takes "--" for the value, while
-    "--flag --" gets "argument --flag: expected one argument" on every
-    version."""
+    with "-" and is not a plain number; glue it to a preceding --betti or
+    --boundary, so that "--boundary -1,0" parses as "--boundary=-1,0".
+    Before a bare "--", split a value flag of the subcommand written
+    "--flag=--", in full or abbreviated, into "--flag --": argparse before
+    3.13 drops the "--" and hands the handler an empty list, and 3.13 takes
+    "--" for the value, while "--flag --" gets "argument --flag: expected
+    one argument" on every version."""
     rows = (_OUT, *COMMANDS[argv[0]][2]) if argv and argv[0] in COMMANDS else ()
     options = ["--help", *(row[0] for row in rows)]
     takes_value = {row[0] for row in rows if row[2] is not bool}
     end = argv.index("--") if "--" in argv else len(argv)
     out = []
     for i, arg in enumerate(argv):
-        if out and out[-1] == "--boundary" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--boundary={arg}"
+        if out and out[-1] in ("--betti", "--boundary") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
             continue
         flag, _, text = arg.partition("=")
         if i < end and flag[:2] == "--" and text == "--":

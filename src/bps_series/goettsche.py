@@ -147,10 +147,12 @@ def refined_goettsche_res(g_max):
     coefficient of q^N a^x b^y is [q^N] a_x a_y, one integer dot product.
     A(x) = A(1/x) gives a_x = a_(-x), and the product is commutative, so that
     coefficient depends only on {|x|, |y|}: it is computed once for each
-    x >= y >= 0 with x + y <= N and stored at its 8 images (+-X, +-Y) and
-    (+-Y, +-X), X = x + y, Y = x - y.  [x^x]A_i is 0 for |x| > i and positive
-    otherwise (every factor of A has positive coefficients), so these are
-    exactly the nonzero terms.
+    x >= y >= 0 with x + y <= N and stored once, at dom[X][Y] with X = x + y
+    and Y = x - y.  [x^x]A_i is 0 for |x| > i and positive otherwise (every
+    factor of A has positive coefficients), so the nonzero terms tL^a tR^b
+    are exactly those with a = b mod 2 and |a|, |b| <= N.  They are written
+    in sorted (a, b) order, each read from dom at its class, so that the
+    series writer's sort of a layer is one linear pass.
     """
     half = euler_int_layers([((1,), 1, -1), ((-1,), 1, -1), ((0,), 1, -4)], g_max, 1)
     cols = [[0] * (g_max + 1) for _ in range(g_max + 1)]
@@ -161,16 +163,21 @@ def refined_goettsche_res(g_max):
     rcols = [col[::-1] for col in cols]
     layers = []
     for n in range(g_max + 1):
-        terms = {}
+        dom = [[0] * (X + 1) for X in range(n + 1)]
         for x in range(n + 1):
             col = cols[x]
             # [q^n] a_x a_y = sum_(i = x)^(n - y) a_x[i] a_y[n - i]
             for y in range(min(x, n - x) + 1):
-                c = sum(map(mul, col[x : n - y + 1], rcols[y][g_max - n + x : g_max - y + 1]))
-                big, small = x + y, x - y
-                terms[big, small] = terms[-big, small] = terms[big, -small] = c
-                terms[-big, -small] = terms[small, big] = terms[-small, big] = c
-                terms[small, -big] = terms[-small, -big] = c
+                dom[x + y][x - y] = sum(
+                    map(mul, col[x : n - y + 1], rcols[y][g_max - n + x : g_max - y + 1])
+                )
+        terms = {}
+        for a in range(-n, n + 1):
+            abs_a = -a if a < 0 else a
+            row = dom[abs_a]
+            for b in range(-n + ((a + n) & 1), n + 1, 2):
+                abs_b = -b if b < 0 else b
+                terms[a, b] = row[abs_b] if abs_b <= abs_a else dom[abs_b][abs_a]
         layers.append(LaurentPoly._of(terms, 2))
     return QSeries(layers, g_max)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import mul
@@ -119,7 +120,10 @@ def series_to_json(s, pad=""):
     final newline, with pad before every line but the first.  A coefficient
     is its "p/q" string, an int's or a Fraction's str (frac_str only refuses
     any other type); a LaurentPoly one the list of its sorted terms
-    {"exps": [...], "coeff": "p/q"}, each written from one template."""
+    {"exps": [...], "coeff": "p/q"}, the whole list written by one %
+    format over the flat tuple (exps..., coeff, exps..., coeff, ...).  Its
+    keys are sorted alone, one linear pass when the terms were inserted in
+    order, as refined_goettsche_res inserts them."""
     i1, i2, i3, i4, i5 = (pad + " " * k for k in (2, 4, 6, 8, 10))
     coeffs = []
     for c in s.coeffs:
@@ -129,7 +133,10 @@ def series_to_json(s, pad=""):
         exps = f",\n{i5}".join(["%d"] * c.nvars)
         exps = f"[\n{i5}{exps}\n{i4}]" if exps else "[]"
         term = f'{{\n{i4}"exps": {exps},\n{i4}"coeff": "%s"\n{i3}}}'
-        terms = f",\n{i3}".join([term % (*e, v) for e, v in sorted(c.terms.items())])
+        keys = sorted(c.terms)
+        # zip(*keys) holds one tuple per variable: the exponent columns
+        flat = chain.from_iterable(zip(*zip(*keys), map(c.terms.__getitem__, keys)))
+        terms = f",\n{i3}".join([term] * len(keys)) % tuple(flat)
         coeffs.append(f"[\n{i3}{terms}\n{i2}]" if terms else "[]")
     coeffs = f",\n{i2}".join(coeffs)
     return (

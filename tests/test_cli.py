@@ -209,6 +209,29 @@ def test_negative_boundary_parses_with_or_without_equals(tmp_path, capsys):
     assert run(tmp_path, *argv, "--boundary", "-1,0")[0] == 1
 
 
+LIST_VALUES = [
+    ("goettsche", "--gmax", "2", "--betti", "-1,0,0,0,-1"),
+    ("goettsche", "--gmax", "2", "--betti", "-1,0,22"),
+    ("anomaly-solve", "--n", "1", "--g", "0", "--table", "z.json", "--boundary", "-1,0"),
+    ("anomaly-solve", "--n", "1", "--g", "0", "--table", "z.json", "--boundary", "-1,x"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", LIST_VALUES, ids=["betti-negative", "betti-three", "boundary-off", "boundary-bad"]
+)
+def test_dash_leading_list_value_parses_with_or_without_equals(tmp_path, monkeypatch, capsys, argv):
+    # "--betti -1,..." once gave "argument --betti: expected one argument"
+    # while "--betti=-1,..." reached the Betti check
+    monkeypatch.chdir(tmp_path)
+    write_reference_table(tmp_path)
+    *head, flag, value = argv
+    spaced = run(tmp_path, *head, flag, value), capsys.readouterr()
+    glued = run(tmp_path, *head, f"{flag}={value}"), capsys.readouterr()
+    assert spaced == glued
+    assert "expected one argument" not in spaced[1].err
+
+
 def test_missing_boundary_value_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("[]")
@@ -651,8 +674,21 @@ def series_doc(s):
 @example(QSeries([LaurentPoly({(1, -1): Fraction(-3, 7)}, 2), LaurentPoly(nvars=2)], 3, "lam"))
 @example(QSeries([LaurentPoly({(2,): -1}), LaurentPoly()], 1))
 @example(QSeries([LaurentPoly({(): 2}, 0), LaurentPoly(nvars=0)], 1))
+# terms inserted in descending order; a one-term layer; negative Fractions
+@example(QSeries([LaurentPoly({(a, b): a - 2 * b for a in (1, -1) for b in (3, 0, -2)}, 2)], 0))
+@example(QSeries([LaurentPoly({(-3, 4): Fraction(5, 2)}, 2)], 2))
+@example(QSeries([LaurentPoly({(-2,): Fraction(-1, 3), (0,): -4, (5,): Fraction(-7, 2)})], 0, "lam"))
 def test_series_text_matches_json_dumps(series):
     assert cli._series_text(series, "json") == json.dumps(series_doc(series), indent=2) + "\n"
+
+
+def test_hilbert_series_text_matches_json_dumps():
+    # the refined layers come in sorted order, the classical ones as the
+    # Euler kernel leaves them
+    betti = goettsche.BettiVector(1, 2, 10, 2, 1)
+    for g in range(17):
+        for s in (goettsche.refined_goettsche_res(g), goettsche.goettsche_series(betti, g)):
+            assert cli._series_text(s, "json") == json.dumps(series_doc(s), indent=2) + "\n"
 
 
 @given(st.lists(series_cases(), min_size=1, max_size=3))

@@ -122,8 +122,8 @@ def _bps_rational_elliptic(g):
 @pytest.mark.parametrize(
     "count, arg, bound",
     [
-        # 1,163 on CPython 3.10-3.13; the loop over pairs of half-layer
-        # terms made 16,159
+        # 1,196 on CPython 3.10-3.13, one sum per symmetry class; the loop
+        # over pairs of half-layer terms made 16,159
         (partial(c_calls_made, refined_goettsche_res), 16, 2_000),
         # with a cold i_basis_char cache: 3,225; peeling dict rows of tR
         # exponents made 9,368

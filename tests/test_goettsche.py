@@ -180,12 +180,15 @@ REFINED_SPECS = [((-1, -1), 1, -1), ((1, 1), 1, -1), ((1, -1), 1, -1), ((-1, 1),
 
 def test_refined_outer_product_matches_the_two_variable_kernel():
     """A(tL tR) A(tL/tR) equals the five-spec product of the Euler kernel,
-    term for term, with every coefficient an int."""
+    term for term, with every coefficient an int and the terms of each layer
+    inserted in sorted order."""
     for g in range(21):
         got = refined_goettsche_res(g)
         want = geom_factor_product(REFINED_SPECS, g, 2)
         assert got.order == g and [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
         assert all(type(v) is int for c in got.coeffs for v in c.terms.values())
+        # the series writer sorts each layer in one linear pass on this order
+        assert all(list(c.terms) == sorted(c.terms) for c in got.coeffs)
 
 
 def test_refined_product_matches_oracle():
